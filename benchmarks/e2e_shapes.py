@@ -43,13 +43,10 @@ def _fig2_point() -> BenchConfig:
 
 
 def _dense_sampling() -> BenchConfig:
-    """The vectorized-pipeline stress shape: datacenter-sweep sampling.
+    """The sample-pipeline stress shape: datacenter-sweep sampling.
 
-    Four connections sampled every 5 us — the regime the batch pipeline
-    (``repro.sim.batch``) exists for, where the legacy path's per-tick
-    object materialization (six ``QueueSnapshot``, two
-    ``TripleSnapshot``, one ``CounterSample`` per collector tick)
-    dominates the run.
+    Four connections sampled every 5 us, so counter collection and the
+    window estimate (``repro.analysis.counters``) dominate the run.
     """
     return replace(
         fig2_config(vm=True, nagle=True, seed=1, measure_ns=msecs(80)),
@@ -76,12 +73,11 @@ E2E_SHAPES = {
 }
 
 
-def bench_shape(config: BenchConfig, backend: str | None = None) -> float:
+def bench_shape(config: BenchConfig) -> float:
     """One timed run: simulator callbacks executed per wall-clock second.
 
     Times the whole :func:`run_benchmark` (assembly and summarization
     included — both are part of what a campaign pays per run).
-    ``backend`` selects the batch pipeline; ``None`` is the legacy path.
     """
     holder = {}
 
@@ -89,7 +85,7 @@ def bench_shape(config: BenchConfig, backend: str | None = None) -> float:
         holder["bed"] = bed
 
     start = time.perf_counter()
-    run_benchmark(config, tweak=tweak, backend=backend)
+    run_benchmark(config, tweak=tweak)
     elapsed = time.perf_counter() - start
     return holder["bed"].sim.events_executed / elapsed
 
@@ -137,33 +133,19 @@ def measure_all(reps: int = 3) -> dict:
     }
 
 
-def measure_vectorized(reps: int = 3) -> dict:
-    """Legacy vs batch backend on the dense-sampling shape.
+def measure_dense_sampling(reps: int = 3) -> dict:
+    """Best-of-``reps`` events/sec on the dense-sampling shape.
 
-    The speedup here is the whole point of the vectorized pipeline;
-    output equivalence is enforced separately by the golden-digest suite,
-    so this measures only wall-clock.  The batch backend is resolved
-    via ``auto`` (numpy where available, the pure-python columns
-    otherwise), and which one actually ran is recorded.
+    Output equivalence is enforced separately by the golden-digest
+    suite, so this measures only wall-clock.
     """
-    from repro.config import resolve_backend
-
-    backend = resolve_backend("auto")
-    config = _dense_sampling()
-    legacy = max(bench_shape(config) for _ in range(reps))
-    vectorized = max(bench_shape(config, backend=backend) for _ in range(reps))
+    dense = max(bench_shape(_dense_sampling()) for _ in range(reps))
     kernel = kernel_reference(reps)
     return {
         "shape": "dense_sampling",
-        "backend": backend,
-        "legacy_events_per_sec": round(legacy),
-        "vectorized_events_per_sec": round(vectorized),
+        "events_per_sec": round(dense),
         "kernel_chained": round(kernel),
-        "normalized": {
-            "legacy": round(legacy / kernel, 4),
-            "vectorized": round(vectorized / kernel, 4),
-        },
-        "speedup": round(vectorized / legacy, 3),
+        "normalized": {"dense_sampling": round(dense / kernel, 4)},
     }
 
 
@@ -265,6 +247,6 @@ def measure_cross_shard(reps: int = 3) -> dict:
 
 if __name__ == "__main__":
     print(json.dumps(measure_all(), indent=2))
-    print(json.dumps(measure_vectorized(), indent=2))
+    print(json.dumps(measure_dense_sampling(), indent=2))
     print(json.dumps(measure_sharded(), indent=2))
     print(json.dumps(measure_cross_shard(), indent=2))

@@ -306,39 +306,31 @@ def test_perf_parallel_sweep_speedup():
         assert speedup >= 2.0, (serial_s, parallel_s, f"cpu_count={cpu_count}")
 
 
-def test_perf_vectorized_pipeline():
-    """The batch backend vs legacy on the dense-sampling shape.
+def test_perf_dense_sampling_pipeline():
+    """The sample pipeline on the dense-sampling shape.
 
-    The vectorized pipeline's reason to exist: at datacenter-sweep
-    sampling density the legacy path drowns in per-tick object
-    construction.  Numbers land in perf.json's ``vectorized`` section;
-    the hard gates are the >= 1.5x speedup over legacy on the same
-    machine (PR-6's acceptance floor, measured well above 3x here) and
-    the committed normalized baseline (same >10%-drop rule as the e2e
-    gate, machine-independent).
+    At datacenter-sweep sampling density counter collection dominates
+    the run, so this shape guards the flat-column collector: its
+    normalized events/sec must not drop more than 10% below the
+    committed ``dense_sampling`` baseline (same rule as the e2e gate,
+    machine-independent).  Per-tick object snapshots sat at about half
+    the floor.  Numbers land in perf.json's ``dense_sampling`` section.
     """
-    from benchmarks.e2e_shapes import measure_vectorized
+    from benchmarks.e2e_shapes import measure_dense_sampling
 
     baseline_doc = json.loads(BASELINE_PATH.read_text())
-    measured = measure_vectorized(reps=3)
-    _update_perf("vectorized", measured)
-    print(f"\nvectorized ({measured['backend']}): "
-          f"{measured['vectorized_events_per_sec']} ev/s vs legacy "
-          f"{measured['legacy_events_per_sec']} ev/s -> "
-          f"{measured['speedup']:.2f}x")
+    measured = measure_dense_sampling(reps=3)
+    _update_perf("dense_sampling", measured)
+    print(f"\ndense_sampling: {measured['events_per_sec']} ev/s "
+          f"(normalized {measured['normalized']['dense_sampling']})")
 
-    assert measured["speedup"] >= 1.5, (
-        f"vectorized backend ({measured['backend']}) only "
-        f"{measured['speedup']}x over legacy on the dense-sampling shape "
-        f"(cpu_count={os.cpu_count()}) — below the 1.5x acceptance floor"
-    )
-    reference = baseline_doc["vectorized"]["normalized"]["dense_sampling"]
+    reference = baseline_doc["dense_sampling"]["normalized"]["dense_sampling"]
     floor = reference * 0.90
-    assert measured["normalized"]["vectorized"] >= floor, (
-        f"dense_sampling: vectorized normalized "
-        f"{measured['normalized']['vectorized']} fell more than 10% below "
-        f"the committed baseline {reference} (floor {floor:.4f}) on a "
-        f"cpu_count={os.cpu_count()} box — a batch-pipeline regression"
+    assert measured["normalized"]["dense_sampling"] >= floor, (
+        f"dense_sampling: normalized "
+        f"{measured['normalized']['dense_sampling']} fell more than 10% "
+        f"below the committed baseline {reference} (floor {floor:.4f}) on "
+        f"a cpu_count={os.cpu_count()} box — a sample-pipeline regression"
     )
 
 

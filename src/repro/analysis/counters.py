@@ -7,10 +7,13 @@ period, producing a time series the offline analysis consumes.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from repro.core.qstate import QueueSnapshot
 from repro.errors import EstimationError
+
+_ROW_INTS = 18  # 2 endpoints x 3 queues x (time, total, integral)
 
 
 @dataclass(frozen=True)
@@ -40,6 +43,14 @@ class CounterSample:
     server: TripleSnapshot
 
 
+def _triple(row, offset: int) -> TripleSnapshot:
+    return TripleSnapshot(
+        unacked=QueueSnapshot(*row[offset:offset + 3]),
+        unread=QueueSnapshot(*row[offset + 3:offset + 6]),
+        ackdelay=QueueSnapshot(*row[offset + 6:offset + 9]),
+    )
+
+
 class CounterCollector:
     """Samples both endpoints at a fixed period.
 
@@ -47,29 +58,35 @@ class CounterCollector:
     three queue states — sockets (byte units) or
     :class:`~repro.core.semantic.MessageUnits` adapters.
 
-    With ``batch`` (a :class:`repro.sim.batch.SampleBatch`), each tick
-    lands as a flat row in the batch instead of a
-    :class:`CounterSample` object — the vectorized collection mode of
-    the ``python``/``numpy`` backends.  The :attr:`samples` surface is
-    preserved (materialized lazily from the batch), and
-    :meth:`window_estimate`/:attr:`sample_count` answer the summarize
-    path's queries without materializing anything.  Sample values are
-    identical either way: both paths bring every queue state forward
-    with a ``track(0)`` and record the same three ints per queue.
+    Each tick is stored as flat integer columns, not objects: the
+    sample time in ``_times`` and eighteen ints in ``_rows`` —
+    client then server, each ``(unacked, unread, ackdelay)`` of
+    ``(time, total, integral)``.  Every queue state is brought forward
+    with a ``track(0)`` first, exactly as
+    :meth:`~repro.core.qstate.QueueState.snapshot` does, so a row holds
+    the same ints a :class:`CounterSample` would.  :meth:`window_estimate`
+    and :attr:`sample_count` answer the summarize path from the columns;
+    :attr:`samples` materializes :class:`CounterSample` objects on demand.
     """
 
     def __init__(self, sim, client_states, server_states, period_ns: int,
-                 tracer=None, batch=None):
+                 tracer=None):
         from repro.obs.tracer import NULL_TRACER
 
         if period_ns <= 0:
             raise EstimationError(f"period must be positive, got {period_ns}")
         self._sim = sim
-        self._client = client_states
-        self._server = server_states
+        self._queues = tuple(
+            queue
+            for states in (client_states, server_states)
+            for queue in (
+                states.qs_unacked, states.qs_unread, states.qs_ackdelay
+            )
+        )
         self.period_ns = period_ns
-        self.batch = batch
-        self._samples: list[CounterSample] = []
+        self._times: list[int] = []  # non-decreasing: sampled in event order
+        self._rows: list[int] = []
+        self._samples: list[CounterSample] = []  # materialized prefix
         self._timer = None
         # Observability: each sample is also emitted as two
         # ``queue.sample`` trace records (one per endpoint), named after
@@ -82,29 +99,37 @@ class CounterCollector:
     def samples(self) -> list[CounterSample]:
         """The recorded series as :class:`CounterSample` objects.
 
-        In batch mode this materializes (and caches) the whole series —
-        a compatibility surface for offline analysis; hot-path consumers
-        should prefer :meth:`window_estimate`/:attr:`sample_count`.
+        Materialized on first access and extended on later ones — a
+        compatibility surface for offline analysis; the summarize path
+        uses :meth:`window_estimate`/:attr:`sample_count` instead.
         """
-        if self.batch is not None:
-            return self.batch.samples()
+        for index in range(len(self._samples), len(self._times)):
+            self._samples.append(self._sample(index))
         return self._samples
 
     @property
     def sample_count(self) -> int:
         """Number of samples recorded, without materializing any."""
-        if self.batch is not None:
-            return self.batch.sample_count
-        return len(self._samples)
+        return len(self._times)
 
     def window_estimate(self, start_ns: int, end_ns: int):
         """:func:`~repro.analysis.offline.window_estimate` over the
-        recorded series, bulk-selected in batch mode."""
-        if self.batch is not None:
-            return self.batch.window_estimate(start_ns, end_ns)
-        from repro.analysis.offline import window_estimate
+        recorded series.
 
-        return window_estimate(self._samples, start_ns, end_ns)
+        The time column is non-decreasing, so bisection selects exactly
+        the samples the offline filter ``start <= t <= end`` keeps; only
+        the two boundary samples are materialized.
+        """
+        from repro.analysis.offline import estimate_between
+
+        lo = bisect_left(self._times, start_ns)
+        hi = bisect_right(self._times, end_ns)
+        if hi - lo < 2:
+            raise EstimationError(
+                f"need at least two samples in [{start_ns}, {end_ns}], "
+                f"have {hi - lo}"
+            )
+        return estimate_between(self._sample(lo), self._sample(hi - 1))
 
     def start(self) -> None:
         """Take an immediate sample and begin periodic sampling."""
@@ -112,37 +137,30 @@ class CounterCollector:
         self._timer = self._sim.call_after(self.period_ns, self._tick)
 
     def stop(self) -> None:
-        """Stop sampling (takes one final sample; flushes the batch)."""
+        """Stop sampling (takes one final sample)."""
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
         self.sample_now()
-        if self.batch is not None:
-            self.batch.flush()
 
-    def sample_now(self):
-        """Record one sample immediately.
-
-        Returns the :class:`CounterSample` in legacy mode; batch mode
-        returns ``None`` (materializing one would defeat the point —
-        use :meth:`samples` afterwards if objects are needed).
-        """
-        batch = self.batch
-        if batch is not None:
-            batch.append(self._sim.now, self._client, self._server)
-            if self._tracer.enabled:
-                sample = batch.materialize(batch.sample_count - 1)
-                self._emit(sample)
-            return None
-        sample = CounterSample(
-            time=self._sim.now,
-            client=TripleSnapshot.capture(self._client),
-            server=TripleSnapshot.capture(self._server),
-        )
-        self._samples.append(sample)
+    def sample_now(self) -> None:
+        """Record one sample immediately."""
+        self._times.append(self._sim.now)
+        row = self._rows
+        for queue in self._queues:
+            queue.track(0)
+            row += (queue.time, queue.total, queue.integral)
         if self._tracer.enabled:
-            self._emit(sample)
-        return sample
+            self._emit(self._sample(len(self._times) - 1))
+
+    def _sample(self, index: int) -> CounterSample:
+        base = index * _ROW_INTS
+        row = self._rows[base:base + _ROW_INTS]
+        return CounterSample(
+            time=self._times[index],
+            client=_triple(row, 0),
+            server=_triple(row, 9),
+        )
 
     def _emit(self, sample: CounterSample) -> None:
         tracer = self._tracer

@@ -42,18 +42,6 @@ def _add_workers(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_backend(parser: argparse.ArgumentParser) -> None:
-    from repro.config import BACKENDS
-
-    parser.add_argument(
-        "--backend", choices=list(BACKENDS), default=None,
-        help="batch-pipeline backend: legacy per-object path, pure-python "
-             "batch, numpy batch, or auto (numpy if importable); default "
-             "follows REPRO_BACKEND, else legacy. Output is byte-identical "
-             "across backends",
-    )
-
-
 def _shards_arg(value: str):
     """``--shards`` accepts a positive count or ``auto`` (one per CPU)."""
     if value == "auto":
@@ -256,16 +244,6 @@ def _cmd_run(args) -> int:
         min_rto_ns=msecs(args.min_rto_ms),
         fault_plan=_fault_plan_from(args),
     )
-    if args.backend is not None:
-        # Validated, then exported: the supervised path ships runs to
-        # worker processes, which pick the backend up from the
-        # environment (byte-identity-neutral either way).
-        import os as _os
-
-        from repro.config import BACKEND_ENV, resolve_backend
-
-        resolve_backend(args.backend)
-        _os.environ[BACKEND_ENV] = args.backend
     tracer = _make_tracer(args.trace, label="run")
     policy, checkpoint = _supervise_from(args)
     want_bed = (
@@ -364,7 +342,6 @@ def _cmd_fanin(args) -> int:
             workers=args.workers,
             policy=policy,
             checkpoint=checkpoint,
-            backend=args.backend,
             tracer=tracer,
             metrics=registry,
         )
@@ -381,9 +358,7 @@ def _cmd_fanin(args) -> int:
         print(f"  server replica net util (mean): "
               f"{result.server_net_util_mean:.0%}")
     else:
-        result = run_fanin(
-            config, with_toggler=args.toggler, backend=args.backend
-        )
+        result = run_fanin(config, with_toggler=args.toggler)
         print(result.render())
     if args.json:
         import pathlib as _pathlib
@@ -528,8 +503,7 @@ def _cmd_profile(args) -> int:
 
     config = shape_config(args.shape, measure_ms=args.measure_ms,
                           seed=args.seed)
-    document = profile_run(config, shape=args.shape, top_n=args.top,
-                           backend=args.backend)
+    document = profile_run(config, shape=args.shape, top_n=args.top)
     rendered = _json.dumps(document, indent=2) + "\n"
     if args.out is not None:
         target = _pathlib.Path(args.out)
@@ -1109,7 +1083,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write a repro-metrics-v1 JSON snapshot")
     _add_measure(p_run, 120)
     _add_supervise(p_run)
-    _add_backend(p_run)
     p_run.set_defaults(func=_cmd_run)
 
     p_faults = sub.add_parser(
@@ -1172,7 +1145,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_measure(p_fanin, 150)
     _add_workers(p_fanin)
     _add_supervise(p_fanin)
-    _add_backend(p_fanin)
     p_fanin.set_defaults(func=_cmd_fanin)
 
     p_bottleneck = sub.add_parser(
@@ -1241,7 +1213,6 @@ def build_parser() -> argparse.ArgumentParser:
              "profiling (used by the CI docs/schema check)",
     )
     _add_measure(p_profile, 80)
-    _add_backend(p_profile)
     p_profile.set_defaults(func=_cmd_profile)
 
     p_diagnose = sub.add_parser(

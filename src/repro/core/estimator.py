@@ -107,11 +107,6 @@ class E2EEstimator:
     combined output, and any clamp applied — and every discarded remote
     view as ``estimator.reject``; ``name`` overrides the record ``src``
     (default: the local socket's name).
-
-    ``history`` (a :class:`repro.sim.batch.EstimateBatch`) records every
-    produced sample's ``(time, latency, throughput)`` as flat columns
-    for bulk post-analysis — the batch-pipeline alternative to retaining
-    :class:`EstimateSample` objects.  It observes, never perturbs.
     """
 
     def __init__(
@@ -123,7 +118,6 @@ class E2EEstimator:
         max_latency_ns: float | None = None,
         tracer=None,
         name: str | None = None,
-        history=None,
     ):
         from repro.obs.tracer import NULL_TRACER
 
@@ -150,7 +144,6 @@ class E2EEstimator:
         self.absurd_clamps = 0
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._trace_src = name or getattr(local, "name", "estimator")
-        self.history = history
 
     def sample(self) -> EstimateSample | None:
         """Estimate over the interval since the previous call.
@@ -214,8 +207,6 @@ class E2EEstimator:
         )
         if self._tracer.enabled:
             self._tracer.estimator_sample(self._trace_src, sample, clamped)
-        if self.history is not None:
-            self.history.append(local_now.unacked.time, sample)
         return sample
 
     def _remote_interval(self):

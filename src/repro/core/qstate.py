@@ -121,19 +121,6 @@ class QueueState:
         self.track(0)
         return (self.time, self.total, self.integral)
 
-    def append_snapshot(self, out: list) -> None:
-        """Batch-pipeline :meth:`snapshot`: append ``time, total,
-        integral`` to a flat column buffer.
-
-        Same bring-forward semantics (a ``track(0)``), zero object
-        construction — the collection primitive of
-        :class:`repro.sim.batch.SampleBatch`.
-        """
-        self.track(0)
-        out.append(self.time)
-        out.append(self.total)
-        out.append(self.integral)
-
     def __repr__(self) -> str:
         return (
             f"QueueState(time={self.time}, size={self.size}, "

@@ -63,15 +63,8 @@ class FaninBed:
     collectors: list[CounterCollector]
 
 
-def build_fanin(config: FaninConfig, backend=None) -> FaninBed:
-    """Assemble N client machines, a switch, and one server.
-
-    ``backend`` selects the batch pipeline (see :mod:`repro.config`);
-    byte-identity-neutral, like everywhere else.
-    """
-    from repro.config import resolve_backend
-
-    backend = resolve_backend(backend)
+def build_fanin(config: FaninConfig) -> FaninBed:
+    """Assemble N client machines, a switch, and one server."""
     sim = Simulator()
     rng = RngRegistry(config.seed)
     server_host = Host(sim, "server", costs=HostCosts())
@@ -97,17 +90,9 @@ def build_fanin(config: FaninConfig, backend=None) -> FaninBed:
             RedisClient(sim, host, client_sock, config=ClientConfig(),
                         name=f"lancet{index}")
         )
-        sample_batch = None
-        if backend != "legacy":
-            from repro.sim.batch import SampleBatch
-
-            sample_batch = SampleBatch(backend)
-        collectors.append(
-            CounterCollector(
-                sim, client_sock, server_sock, period_ns=msecs(10),
-                batch=sample_batch,
-            )
-        )
+        collectors.append(CounterCollector(
+            sim, client_sock, server_sock, period_ns=msecs(10)
+        ))
     server = RedisServer(
         sim, server_host, server_socks[0], store=KVStore(),
         config=ServerConfig(), extra_sockets=server_socks[1:],
@@ -161,11 +146,9 @@ class FaninResult:
         )
 
 
-def run_fanin(
-    config: FaninConfig, with_toggler: bool = False, backend=None
-) -> FaninResult:
+def run_fanin(config: FaninConfig, with_toggler: bool = False) -> FaninResult:
     """Run the fan-in scenario, optionally under a spanning toggler."""
-    bed = build_fanin(config, backend=backend)
+    bed = build_fanin(config)
     toggler = None
     if with_toggler:
         toggler = _attach_spanning_toggler(bed)
@@ -256,17 +239,13 @@ class _ConnectionSim:
     applies).  Everything partition-relevant is keyed by the *global*
     connection index — the RNG stream (``arrivals.{index}``), host and
     socket names — so the output is a pure function of ``(config,
-    index, backend-neutral execution)``, never of the shard that
-    happened to run it.  The build/run split exists so the windowed
-    engine (:func:`run_fanin_synced`) can drive the identical
-    simulation in steps; :func:`_run_fanin_connection` remains the
-    one-shot form.
+    index)``, never of the shard that happened to run it.  The
+    build/run split exists so the windowed engine
+    (:func:`run_fanin_synced`) can drive the identical simulation in
+    steps; :func:`_run_fanin_connection` remains the one-shot form.
     """
 
-    def __init__(self, config: FaninConfig, index: int, backend=None):
-        from repro.config import resolve_backend
-
-        backend = resolve_backend(backend)
+    def __init__(self, config: FaninConfig, index: int):
         sim = Simulator()
         rng = RngRegistry(config.seed)
         server_host = Host(sim, "server", costs=HostCosts())
@@ -286,14 +265,8 @@ class _ConnectionSim:
             sim, client_host, client_sock, config=ClientConfig(),
             name=f"lancet{index}",
         )
-        sample_batch = None
-        if backend != "legacy":
-            from repro.sim.batch import SampleBatch
-
-            sample_batch = SampleBatch(backend)
         collector = CounterCollector(
-            sim, client_sock, server_sock, period_ns=msecs(10),
-            batch=sample_batch,
+            sim, client_sock, server_sock, period_ns=msecs(10)
         )
         server = RedisServer(
             sim, server_host, server_sock, store=KVStore(),
@@ -361,22 +334,17 @@ class _ConnectionSim:
         )
 
 
-def _run_fanin_connection(
-    config: FaninConfig, index: int, backend=None
-) -> ConnectionShard:
+def _run_fanin_connection(config: FaninConfig, index: int) -> ConnectionShard:
     """Run one fan-in connection as an isolated sub-simulation."""
-    conn = _ConnectionSim(config, index, backend=backend)
+    conn = _ConnectionSim(config, index)
     conn.sim.run(until=conn.measure_end)
     return conn.finish()
 
 
-def _run_fanin_shard(config: FaninConfig, indices, backend=None) -> list:
+def _run_fanin_shard(config: FaninConfig, indices) -> list:
     """Worker entry point: run one shard's connections (must be
     module-level so it pickles under every start method)."""
-    return [
-        _run_fanin_connection(config, index, backend=backend)
-        for index in indices
-    ]
+    return [_run_fanin_connection(config, index) for index in indices]
 
 
 @dataclass
@@ -420,7 +388,6 @@ def run_fanin_sharded(
     workers: int = 1,
     policy=None,
     checkpoint=None,
-    backend=None,
     tracer=None,
     metrics=None,
 ) -> ShardedFaninResult:
@@ -444,9 +411,7 @@ def run_fanin_sharded(
     from repro.sim.shard import ShardPlan, merge_digest, merge_streams
 
     plan = ShardPlan.round_robin(config.clients, shards)
-    payloads = [
-        (config, indices, backend) for indices in plan.assignments
-    ]
+    payloads = [(config, indices) for indices in plan.assignments]
     labels = [
         f"fanin shard {number}/{plan.shards}: conns {list(indices)}"
         for number, indices in enumerate(plan.assignments, start=1)
@@ -518,9 +483,9 @@ class _FaninSyncComponent(SyncComponent):
     and must receive nothing.
     """
 
-    def __init__(self, config: FaninConfig, index: int, backend=None):
+    def __init__(self, config: FaninConfig, index: int):
         self.index = index
-        self._conn = _ConnectionSim(config, index, backend=backend)
+        self._conn = _ConnectionSim(config, index)
 
     def deliver(self, message) -> None:
         from repro.errors import WorkloadError
@@ -542,10 +507,10 @@ class _FaninSyncComponent(SyncComponent):
 
 
 def _build_fanin_component(
-    config: FaninConfig, backend, index: int
+    config: FaninConfig, index: int
 ) -> _FaninSyncComponent:
     """Picklable component builder for :func:`run_fanin_synced`."""
-    return _FaninSyncComponent(config, index, backend=backend)
+    return _FaninSyncComponent(config, index)
 
 
 def run_fanin_synced(
@@ -554,7 +519,6 @@ def run_fanin_synced(
     workers: int = 1,
     policy=None,
     checkpoint=None,
-    backend=None,
     tracer=None,
     metrics=None,
 ) -> ShardedFaninResult:
@@ -576,7 +540,7 @@ def run_fanin_synced(
         horizon_ns=config.warmup_ns + config.measure_ns, lookahead_ns=None
     )
     sync = run_windowed(
-        partial(_build_fanin_component, config, backend),
+        partial(_build_fanin_component, config),
         config.clients, plan,
         shards=shards, workers=workers, policy=policy,
         checkpoint=checkpoint, tracer=tracer, metrics=metrics,

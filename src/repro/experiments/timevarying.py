@@ -107,7 +107,7 @@ def _composite_schedule(rng, workload, plan: PhasePlan, start_ns: int):
 
 
 def _run_policy(
-    policy: str, plan: PhasePlan, base: BenchConfig, backend=None
+    policy: str, plan: PhasePlan, base: BenchConfig
 ) -> PolicyPhases:
     config = replace(
         base,
@@ -116,7 +116,7 @@ def _run_policy(
         warmup_ns=0,
         measure_ns=plan.total_ns,
     )
-    bed = build_testbed(config, backend=backend)
+    bed = build_testbed(config)
     toggler = None
     if policy == "dynamic":
         toggler = attach_toggler(
@@ -158,17 +158,12 @@ def _run_policy(
 def run_timevarying(
     plan: PhasePlan | None = None,
     base: BenchConfig | None = None,
-    backend=None,
 ) -> TimeVaryingResult:
-    """Run static-off, static-on, and the dynamic toggler over the walk.
-
-    ``backend`` selects the batch pipeline (see :mod:`repro.config`);
-    byte-identity-neutral, like everywhere else.
-    """
+    """Run static-off, static-on, and the dynamic toggler over the walk."""
     plan = plan or PhasePlan()
     base = base or default_config()
     policies = [
-        _run_policy(policy, plan, base, backend=backend)
+        _run_policy(policy, plan, base)
         for policy in ("static-off", "static-on", "dynamic")
     ]
     return TimeVaryingResult(plan=plan, policies=policies)

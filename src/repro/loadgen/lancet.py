@@ -15,7 +15,7 @@ testbed and drive it themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, ClassVar
 
 from repro.analysis.counters import CounterCollector
 from repro.analysis.offline import OfflineEstimate
@@ -113,10 +113,9 @@ class Testbed:
     conns: list[Connection]
     faults: FaultInjector | None = None
     tracer: object = None  # repro.obs Tracer; NULL_TRACER when untraced
-    # Resolved batch-pipeline backend (see repro.config).  Execution
-    # detail only — deliberately not on BenchConfig, whose fields are
-    # digested into every result and cache key.
-    backend: str = "legacy"
+    # The counter pipeline every testbed runs: flat sample columns (see
+    # repro.analysis.counters).  Read by benchmarks that report it.
+    backend: ClassVar[str] = "columns"
 
     @property
     def client_sock(self):
@@ -208,7 +207,7 @@ class RunResult:
         return (self.server_app_util + self.server_net_util) / 2
 
 
-def build_testbed(config: BenchConfig, tracer=None, backend=None) -> Testbed:
+def build_testbed(config: BenchConfig, tracer=None) -> Testbed:
     """Assemble hosts, sockets, apps and instrumentation for one run.
 
     ``tracer`` is an optional :class:`repro.obs.Tracer`; when given its
@@ -217,18 +216,10 @@ def build_testbed(config: BenchConfig, tracer=None, backend=None) -> Testbed:
     emits into it.  Tracing never perturbs the run: emit sites draw no
     randomness and schedule no events, so results with a disabled (or
     absent) tracer are byte-identical.
-
-    ``backend`` selects the batch pipeline (see :mod:`repro.config`):
-    ``None`` consults ``REPRO_BACKEND`` and defaults to ``legacy``;
-    ``python``/``numpy``/``auto`` switch counter collection to
-    :class:`repro.sim.batch.SampleBatch` columns.  Backend choice is
-    byte-identity-neutral by contract.
     """
-    from repro.config import resolve_backend
     from repro.obs.tracer import NULL_TRACER
 
     config.validate()
-    backend = resolve_backend(backend)
     sim = Simulator()
     rng = RngRegistry(config.seed)
     if tracer is None:
@@ -299,15 +290,9 @@ def build_testbed(config: BenchConfig, tracer=None, backend=None) -> Testbed:
             sim, client_host, client_sock, config=config.client_config,
             hint_session=hint_session, name=f"lancet.{index}",
         )
-        sample_batch = None
-        if backend != "legacy":
-            from repro.sim.batch import SampleBatch
-
-            sample_batch = SampleBatch(backend)
         collector = CounterCollector(
             sim, client_sock, server_sock,
             period_ns=config.counter_period_ns, tracer=tracer,
-            batch=sample_batch,
         )
         conns.append(
             Connection(
@@ -335,7 +320,6 @@ def build_testbed(config: BenchConfig, tracer=None, backend=None) -> Testbed:
         conns=conns,
         faults=faults,
         tracer=tracer,
-        backend=backend,
     )
 
 
@@ -344,7 +328,6 @@ def run_benchmark(
     tweak: Callable[[Testbed], None] | None = None,
     tracer=None,
     watchdog=None,
-    backend=None,
 ) -> RunResult:
     """Run one benchmark to completion and summarize.
 
@@ -356,8 +339,6 @@ def run_benchmark(
     horizon before anything is built, and its event budget arms the
     simulator so a runaway config raises a typed
     :class:`~repro.errors.WatchdogError` instead of spinning.
-    ``backend`` is forwarded to :func:`build_testbed` (batch-pipeline
-    selection; byte-identity-neutral).
     """
     if watchdog is not None:
         watchdog.validate()
@@ -372,7 +353,7 @@ def run_benchmark(
                 f"run horizon {horizon_ns}ns (warmup + measure) exceeds "
                 f"the watchdog budget of {watchdog.max_sim_time_ns}ns"
             )
-    bed = build_testbed(config, tracer=tracer, backend=backend)
+    bed = build_testbed(config, tracer=tracer)
     if watchdog is not None and watchdog.max_events is not None:
         bed.sim.set_event_budget(watchdog.max_events)
     if tweak is not None:
@@ -400,40 +381,23 @@ def run_benchmark(
 
 def _summarize_run(bed: Testbed, start: int, end: int) -> RunResult:
     config = bed.config
-    if bed.backend != "legacy":
-        # Batch pipeline: one pass flattens every connection's records
-        # into columns, and all window/kind summaries reduce in bulk.
-        # Byte-identical to the scalar path below by the contracts in
-        # repro.sim.batch.
-        from repro.sim.batch import LatencyBatch
-
-        latency_batch = LatencyBatch.from_connections(
-            (conn.client.records for conn in bed.conns), bed.backend
-        )
-        record_count, latency_summary, send_summary, per_kind = (
-            latency_batch.window_summaries(start, end)
-        )
-    else:
-        records = [
-            r
-            for conn in bed.conns
-            for r in conn.client.records
-            if start <= r.completed_at <= end
-        ]
-        record_count = len(records)
-        latency_summary = summarize([r.latency_ns for r in records])
-        send_summary = summarize([r.send_latency_ns for r in records])
-        per_kind = {}
-        for kind in ("SET", "GET"):
-            kind_samples = [r.latency_ns for r in records if r.kind == kind]
-            if kind_samples:
-                per_kind[kind] = summarize(kind_samples)
+    records = [
+        r
+        for conn in bed.conns
+        for r in conn.client.records
+        if start <= r.completed_at <= end
+    ]
+    per_kind = {}
+    for kind in ("SET", "GET"):
+        kind_samples = [r.latency_ns for r in records if r.kind == kind]
+        if kind_samples:
+            per_kind[kind] = summarize(kind_samples)
 
     # Per-connection §3.2 estimates, averaged across the connections the
     # (hypothetical) batching policy spans — weighted by each
     # connection's estimated throughput, as uniform averaging would let
     # idle connections dilute the estimate.  The collector answers the
-    # window query directly (bulk-selected in batch mode).
+    # window query from its sample columns.
     estimate = None
     estimate_rps = None
     per_conn = [
@@ -481,9 +445,9 @@ def _summarize_run(bed: Testbed, start: int, end: int) -> RunResult:
     return RunResult(
         config=config,
         offered_rate=config.rate_per_sec,
-        achieved_rate=throughput_per_sec(record_count, end - start),
-        latency=latency_summary,
-        send_latency=send_summary,
+        achieved_rate=throughput_per_sec(len(records), end - start),
+        latency=summarize([r.latency_ns for r in records]),
+        send_latency=summarize([r.send_latency_ns for r in records]),
         per_kind=per_kind,
         estimate=estimate,
         estimate_rps=estimate_rps,

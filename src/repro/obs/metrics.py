@@ -212,19 +212,6 @@ def collect_run_metrics(bed, result=None, toggler=None) -> MetricsRegistry:
         bed.server_host.nic.rx_deliveries
     )
 
-    # Batch pipeline (python/numpy backends only): pending-row -> column
-    # conversions across the run's counter collectors.  Absent on the
-    # legacy backend, where no batch exists.
-    batches = [
-        conn.collector.batch
-        for conn in getattr(bed, "conns", [])
-        if conn.collector.batch is not None
-    ]
-    if batches:
-        registry.counter("sim.batch.flushes").inc(
-            sum(batch.flushes for batch in batches)
-        )
-
     if bed.faults is not None:
         summary = bed.faults.summary()
         for direction, hooks in summary["link"].items():

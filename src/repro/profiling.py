@@ -65,16 +65,8 @@ def shape_config(shape: str, measure_ms: int = 80, seed: int | None = None):
     raise WorkloadError(f"unknown profile shape {shape!r}; pick from {SHAPES}")
 
 
-def profile_run(
-    config, shape: str = "custom", top_n: int = 25, backend=None
-) -> dict:
-    """Run one benchmark under cProfile; return a repro-profile-v1 dict.
-
-    ``backend`` selects the batch pipeline (see :mod:`repro.config`) so
-    each backend's cycle ranking can be captured without editing
-    drivers — results are byte-identical across backends, profiles are
-    not (that is the point).
-    """
+def profile_run(config, shape: str = "custom", top_n: int = 25) -> dict:
+    """Run one benchmark under cProfile; return a repro-profile-v1 dict."""
     from repro.loadgen.lancet import run_benchmark
 
     if top_n <= 0:
@@ -86,7 +78,7 @@ def profile_run(
 
     profiler = cProfile.Profile()
     profiler.enable()
-    run_benchmark(config, tweak=tweak, backend=backend)
+    run_benchmark(config, tweak=tweak)
     profiler.disable()
 
     stats = pstats.Stats(profiler)

@@ -75,23 +75,20 @@ def digest(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 
 
-def run_plain(config: BenchConfig, backend=None):
-    """One run with every instrumentation layer off (the default).
-
-    ``backend`` selects the batch pipeline; the digest must not notice.
-    """
-    return run_benchmark(config, backend=backend)
+def run_plain(config: BenchConfig):
+    """One run with every instrumentation layer off (the default)."""
+    return run_benchmark(config)
 
 
 def experiment_shapes() -> dict[str, object]:
     """Digest-pinned *experiment* runs: realistic many-flow traffic.
 
     The bench shapes above exercise the single-connection pipeline;
-    these cover the fan-in (N flows into one server) and time-varying
-    (load walk under three policies) experiments, so backend and
-    sharding changes are equivalence-checked against the traffic
-    patterns the batch pipeline was built for.  Windows are shortened
-    to tier-1 size, same as the bench shapes.
+    these cover the fan-in (N flows into one server), time-varying
+    (load walk under three policies) and shared-bottleneck experiments,
+    so pipeline and sharding changes are equivalence-checked against
+    many-flow traffic.  Windows are shortened to tier-1 size, same as
+    the bench shapes.
     """
     from repro.experiments.bottleneck import BottleneckConfig
     from repro.experiments.fanin import FaninConfig
@@ -106,35 +103,31 @@ def experiment_shapes() -> dict[str, object]:
     }
 
 
-def run_experiment(name: str, backend=None):
+def run_experiment(name: str):
     """Run one experiment shape; returns its result dataclass tree."""
     shape = experiment_shapes()[name]
     if name == "fanin_4c":
         from repro.experiments.fanin import run_fanin
 
-        return run_fanin(shape, backend=backend)
+        return run_fanin(shape)
     if name == "timevarying_walk":
         from repro.experiments.timevarying import run_timevarying
 
-        return run_timevarying(plan=shape, backend=backend)
+        return run_timevarying(plan=shape)
     if name == "bottleneck_4f":
         from repro.experiments.bottleneck import run_shared_bottleneck
 
-        # The bottleneck scenario carries no batch collector, so there
-        # is no backend to select; the digest is backend-free.
         return run_shared_bottleneck(shape)
     raise KeyError(name)
 
 
-def run_experiment_sharded(name: str, shards: int, backend=None):
+def run_experiment_sharded(name: str, shards: int):
     """The sharded twin of ``fanin_4c`` (the decomposed model)."""
     from repro.experiments.fanin import run_fanin_sharded
 
     if name != "fanin_4c":
         raise KeyError(f"no sharded variant for {name!r}")
-    return run_fanin_sharded(
-        experiment_shapes()[name], shards=shards, backend=backend
-    )
+    return run_fanin_sharded(experiment_shapes()[name], shards=shards)
 
 
 def run_experiment_windowed(name: str, shards: int, workers: int = 1):
@@ -195,7 +188,7 @@ def current_digests() -> dict[str, dict[str, str]]:
 
 
 def current_experiment_digests() -> dict[str, str]:
-    """Experiment-shape digests of the current tree (legacy backend)."""
+    """Experiment-shape digests of the current tree."""
     return {name: digest(run_experiment(name)) for name in experiment_shapes()}
 
 

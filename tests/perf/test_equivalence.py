@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import numpy_available
 from tests.perf.golden import (
     digest,
     equivalence_configs,
@@ -28,11 +27,6 @@ from tests.perf.golden import (
     run_instrumented,
     run_plain,
 )
-
-#: Batch-pipeline backends under equivalence test.  ``auto`` is just an
-#: alias and ``numpy`` only runs where numpy imports (the CI matrix has
-#: a leg with numpy and a leg without, so both fallbacks are proven).
-BACKENDS = ["legacy", "python"] + (["numpy"] if numpy_available() else [])
 
 # Captured pre-optimization (PR 5 seed tree, 2026-08-05).
 GOLDEN = {
@@ -54,9 +48,10 @@ GOLDEN = {
 }
 
 
-#: Experiment-shape digests (see golden.experiment_shapes), captured on
-#: the legacy backend.  Every backend — and for the fan-in, every shard
-#: count — must reproduce them byte for byte.
+#: Experiment-shape digests (see golden.experiment_shapes), captured
+#: when counter samples were still dataclass objects.  The column
+#: pipeline — and for the fan-in, every shard count — must reproduce
+#: them byte for byte.
 GOLDEN_EXPERIMENTS = {
     "fanin_4c": "63111f14594cfef073cec57670a98087dd4f3593c89cce8898c2f064ee6377b4",
     "timevarying_walk": "9e85822afa05a262befcbde6bbca0f81e1f737b54d8307a30aacde38738397ca",
@@ -65,7 +60,7 @@ GOLDEN_EXPERIMENTS = {
 
 #: The decomposed (sharded) fan-in model — a different scenario from the
 #: monolithic fanin_4c (per-connection server replicas), pinned once and
-#: required identical for every shard count and backend.
+#: required identical for every shard count.
 GOLDEN_FANIN_SHARDED = (
     "4a015db3cf0c7595a7461a32d25c822653cd3791dc6ea3e08101489675f3ad5c"
 )
@@ -77,22 +72,11 @@ def test_plain_run_matches_pre_pr_golden(name):
     assert digest(run_plain(config)) == GOLDEN[name]["result"]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_backends_match_golden_on_bench_shapes(name, backend):
-    """Every batch backend reproduces the legacy digests byte for byte."""
-    config = equivalence_configs()[name]
-    assert digest(run_plain(config, backend=backend)) == GOLDEN[name]["result"]
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", sorted(GOLDEN_EXPERIMENTS))
-def test_backends_match_golden_on_experiment_shapes(name, backend):
-    """Fan-in and time-varying traffic, equivalence-proven per backend."""
-    assert (
-        digest(run_experiment(name, backend=backend))
-        == GOLDEN_EXPERIMENTS[name]
-    )
+def test_experiment_shape_matches_golden(name):
+    """Fan-in, time-varying and bottleneck traffic reproduce their
+    pinned digests."""
+    assert digest(run_experiment(name)) == GOLDEN_EXPERIMENTS[name]
 
 
 @pytest.mark.parametrize("shards", [1, 2, 4])

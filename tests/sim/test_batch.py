@@ -1,88 +1,34 @@
-"""The batch pipeline's byte-identity and bookkeeping contracts."""
+"""The counter pipeline's flat columns against snapshot objects.
+
+:class:`~repro.analysis.counters.CounterCollector` records each tick as
+one row of ints and builds :class:`CounterSample` objects only on
+demand.  These tests drive it through random queue churn and compare
+it with objects the test builds itself, from
+:meth:`QueueState.snapshot` and :meth:`TripleSnapshot.capture`.
+
+``python`` names the pure-python column store, the one sample pipeline
+left since its numpy twin was removed; the ids keep these tests'
+long-standing names.
+"""
 
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
 
-from repro.analysis.counters import CounterCollector
-from repro.analysis.offline import window_estimate
-from repro.config import numpy_available, resolve_backend
-from repro.core.estimator import E2EEstimator
-from repro.core.qstate import QueueState
-from repro.errors import EstimationError, WorkloadError
-from repro.loadgen.stats import summarize
-from repro.sim.batch import (
-    FLUSH_CHUNK_ROWS,
-    EstimateBatch,
-    LatencyBatch,
-    SampleBatch,
-    bulk_summarize,
+from repro.analysis.counters import (
+    CounterCollector,
+    CounterSample,
+    TripleSnapshot,
 )
+from repro.analysis.offline import window_estimate
+from repro.core.qstate import QueueState
+from repro.errors import EstimationError
 from repro.sim.loop import Simulator
 
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
-
-
-def summaries_equal(a, b) -> bool:
-    """Field-wise equality that treats NaN == NaN (empty summaries)."""
-    for field in ("count", "mean_ns", "p50_ns", "p90_ns", "p99_ns",
-                  "max_ns", "stddev_ns"):
-        left, right = getattr(a, field), getattr(b, field)
-        if isinstance(left, float) and math.isnan(left):
-            if not (isinstance(right, float) and math.isnan(right)):
-                return False
-        elif left != right:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# bulk_summarize: the scalar twin, bit for bit.
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_bulk_summarize_matches_scalar_on_random_ints(backend):
-    rng = random.Random(7)
-    for trial in range(50):
-        count = rng.randrange(0, 400)
-        values = [rng.randrange(0, 10**9) for _ in range(count)]
-        assert summaries_equal(
-            bulk_summarize(list(values), backend), summarize(values)
-        ), f"trial {trial}"
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_bulk_summarize_matches_scalar_on_random_floats(backend):
-    rng = random.Random(11)
-    for trial in range(50):
-        count = rng.randrange(1, 300)
-        values = [rng.uniform(0.0, 1e9) for _ in range(count)]
-        assert summaries_equal(
-            bulk_summarize(list(values), backend), summarize(values)
-        ), f"trial {trial}"
-
-
-def test_bulk_summarize_empty_is_empty_summary():
-    for backend in BACKENDS:
-        assert bulk_summarize([], backend).count == 0
-
-
-@pytest.mark.skipif(not numpy_available(), reason="numpy backend absent")
-def test_bulk_summarize_survives_int64_overflow_guard():
-    # Values big enough that max * count cannot be int64-represented:
-    # the exact-sum guard must fall back to python's arbitrary precision
-    # rather than silently wrapping.
-    values = [2**61, 2**61, 2**61, 2**61]
-    assert bulk_summarize(values, "numpy").mean_ns == summarize(values).mean_ns
-
-
-# ---------------------------------------------------------------------------
-# SampleBatch: columnar collection == object collection.
-# ---------------------------------------------------------------------------
+PIPELINES = ["python"]
+SEEDS = range(5)
 
 
 class _Endpoint:
@@ -98,222 +44,82 @@ class _Endpoint:
         return (self.qs_unacked, self.qs_unread, self.qs_ackdelay)
 
 
-def _drive(sim, client, server, rng, ticks=300):
-    """Random queue churn: arrivals, departures, same-tick coalescing."""
-    for _ in range(ticks):
-        sim.now += rng.randrange(0, 5)  # exercise dt==0 coalescing too
-        for endpoint in (client, server):
-            for queue in endpoint.queues():
-                if rng.random() < 0.7:
-                    queue.track(rng.randrange(0, 4))
-                if queue.size and rng.random() < 0.5:
-                    queue.track(-rng.randrange(0, queue.size + 1))
+def _churn(rng, endpoints):
+    """Random arrivals and departures on every queue, at the current
+    time (several calls per tick exercise same-tick coalescing)."""
+    for endpoint in endpoints:
+        for queue in endpoint.queues():
+            if rng.random() < 0.7:
+                queue.track(rng.randrange(0, 4))
+            if queue.size and rng.random() < 0.5:
+                queue.track(-rng.randrange(0, queue.size + 1))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_sample_batch_materializes_identical_samples(backend):
-    sim = Simulator()
-    rng = random.Random(13)
-    client, server = _Endpoint(sim), _Endpoint(sim)
-    batch = SampleBatch(backend)
-    shadow = []
-
-    from repro.analysis.counters import CounterSample, TripleSnapshot
-
-    for _ in range(40):
-        _drive(sim, client, server, rng, ticks=5)
-        # Legacy capture first on cloned state is impossible (capture
-        # mutates via track(0)) — but track(0) is idempotent at fixed
-        # time, so capturing both ways back-to-back sees equal values.
-        batch.append(sim.now, client, server)
-        shadow.append(
-            CounterSample(
-                time=sim.now,
-                client=TripleSnapshot.capture(client),
-                server=TripleSnapshot.capture(server),
-            )
-        )
-    assert batch.sample_count == len(shadow)
-    assert batch.samples() == shadow
+def _reference(endpoint) -> TripleSnapshot:
+    """The endpoint's snapshots, built object by object in the test."""
+    unacked, unread, ackdelay = (q.snapshot() for q in endpoint.queues())
+    return TripleSnapshot(unacked=unacked, unread=unread, ackdelay=ackdelay)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_sample_batch_window_estimate_matches_offline(backend):
-    sim = Simulator()
-    rng = random.Random(17)
-    client, server = _Endpoint(sim), _Endpoint(sim)
-    batch = SampleBatch(backend)
-    for _ in range(60):
-        _drive(sim, client, server, rng, ticks=3)
-        batch.append(sim.now, client, server)
-    batch.flush()
-    samples = batch.samples()
-    start = samples[5].time
-    end = samples[-5].time
-    assert batch.window_estimate(start, end) == window_estimate(
-        samples, start, end
-    )
-    with pytest.raises(EstimationError):
-        batch.window_estimate(end + 10**9, end + 2 * 10**9)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_sample_batch_flushes_count_chunk_conversions(backend):
-    sim = Simulator()
-    client, server = _Endpoint(sim), _Endpoint(sim)
-    batch = SampleBatch(backend)
-    rows = FLUSH_CHUNK_ROWS + 7
-    for _ in range(rows):
-        sim.now += 1
-        batch.append(sim.now, client, server)
-    assert batch.flushes == 1  # the full chunk converted mid-stream
-    batch.flush()
-    assert batch.flushes == 2  # the 7-row tail
-    batch.flush()
-    assert batch.flushes == 2  # idempotent on empty pending
-    assert batch.sample_count == rows
-    assert batch.row(FLUSH_CHUNK_ROWS + 3)[0] == batch.samples()[-4].time
-
-
-def test_sample_batch_rejects_unknown_backend_and_bad_index():
-    with pytest.raises(WorkloadError):
-        SampleBatch("legacy")
-    batch = SampleBatch("python")
-    with pytest.raises(WorkloadError):
-        batch.row(0)
-
-
-# ---------------------------------------------------------------------------
-# CounterCollector in batch mode.
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_collector_batch_mode_equals_legacy_mode(backend):
-    def build(batch):
+@pytest.mark.parametrize("pipeline", PIPELINES)
+def test_sample_batch_materializes_identical_samples(pipeline):
+    for seed in SEEDS:
         sim = Simulator()
+        rng = random.Random(seed)
         client, server = _Endpoint(sim), _Endpoint(sim)
-        collector = CounterCollector(
-            sim, client, server, period_ns=100, batch=batch
-        )
-        rng = random.Random(23)
+        collector = CounterCollector(sim, client, server, period_ns=1)
+        expected = []
+        for _ in range(200):
+            sim.now += rng.randrange(0, 5)  # dt == 0 coalesces too
+            _churn(rng, (client, server))
+            collector.sample_now()
+            # Snapshotting again at the same instant is a no-op track(0)
+            # fold, so the objects see the ints the row recorded.
+            expected.append(CounterSample(
+                time=sim.now,
+                client=_reference(client),
+                server=TripleSnapshot.capture(server),
+            ))
+            if rng.random() < 0.1:  # materialize mid-run, then extend
+                assert collector.samples == expected, f"seed {seed}"
+        assert collector.sample_count == len(expected)
+        assert collector.samples == expected, f"seed {seed}"
+
+
+@pytest.mark.parametrize("pipeline", PIPELINES)
+def test_sample_batch_window_estimate_matches_offline(pipeline):
+    for seed in SEEDS:
+        sim = Simulator()
+        rng = random.Random(seed)
+        client, server = _Endpoint(sim), _Endpoint(sim)
+        collector = CounterCollector(sim, client, server, period_ns=100)
 
         def churn():
-            for endpoint in (client, server):
-                for queue in endpoint.queues():
-                    queue.track(rng.randrange(0, 3))
-            sim.call_after(37, churn)
+            _churn(rng, (client, server))
+            sim.call_after(rng.randrange(1, 60), churn)
 
         churn()
-        collector.start()
-        sim.run(until=5_000)
+        sim.call_at(250, collector.start)
+        sim.run(until=20_000)
         collector.stop()
-        return collector
-
-    legacy = build(None)
-    batched = build(SampleBatch(backend))
-    assert batched.sample_count == legacy.sample_count
-    assert batched.samples == legacy.samples
-    assert batched.window_estimate(500, 4_500) == legacy.window_estimate(
-        500, 4_500
-    )
-
-
-# ---------------------------------------------------------------------------
-# LatencyBatch: bulk window summaries == scalar filters.
-# ---------------------------------------------------------------------------
-
-
-class _Record:
-    __slots__ = ("completed_at", "latency_ns", "send_latency_ns", "kind")
-
-    def __init__(self, completed_at, latency_ns, send_latency_ns, kind):
-        self.completed_at = completed_at
-        self.latency_ns = latency_ns
-        self.send_latency_ns = send_latency_ns
-        self.kind = kind
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_latency_batch_matches_scalar_window_summaries(backend):
-    rng = random.Random(29)
-    conns = []
-    for _ in range(3):
-        now = 0
-        records = []
-        for _ in range(rng.randrange(10, 120)):
-            now += rng.randrange(1, 10_000)
-            records.append(
-                _Record(
-                    completed_at=now,
-                    latency_ns=rng.randrange(1, 10**7),
-                    send_latency_ns=rng.randrange(1, 10**6),
-                    kind=rng.choice(["SET", "GET", "PING"]),
-                )
-            )
-        conns.append(records)
-    start, end = 50_000, 400_000
-
-    flat = [r for records in conns for r in records]
-    inside = [r for r in flat if start <= r.completed_at <= end]
-    batch = LatencyBatch.from_connections(conns, backend)
-    count, latency, send, per_kind = batch.window_summaries(start, end)
-
-    assert len(batch) == len(flat)
-    assert count == len(inside)
-    assert summaries_equal(latency, summarize([r.latency_ns for r in inside]))
-    assert summaries_equal(
-        send, summarize([r.send_latency_ns for r in inside])
-    )
-    expected_kinds = {
-        kind
-        for kind in ("SET", "GET")
-        if any(r.kind == kind for r in inside)
-    }
-    assert set(per_kind) == expected_kinds
-    for kind in expected_kinds:
-        assert summaries_equal(
-            per_kind[kind],
-            summarize([r.latency_ns for r in inside if r.kind == kind]),
-        )
-
-
-# ---------------------------------------------------------------------------
-# EstimateBatch: estimator history as flat columns.
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_estimator_history_records_every_sample(backend):
-    sim = Simulator()
-    local, remote = _Endpoint(sim), _Endpoint(sim)
-    history = EstimateBatch(backend)
-    estimator = E2EEstimator(local, remote=remote, history=history)
-    rng = random.Random(31)
-    produced = 0
-    for _ in range(50):
-        sim.now += rng.randrange(1, 1_000)
-        for endpoint in (local, remote):
-            for queue in endpoint.queues():
-                queue.track(rng.randrange(0, 3))
-                if queue.size:
-                    queue.track(-1)
-        if estimator.sample() is not None:
-            produced += 1
-    assert len(history) == produced
-    times, latencies, throughputs = history.columns()
-    assert len(times) == len(latencies) == len(throughputs) == produced
-    summary = history.summary()
-    assert summary["updates"] == produced
-    assert summary["defined"] <= produced
-    if summary["defined"]:
-        assert summary["mean_latency_ns"] >= 0.0
-
-
-def test_resolve_backend_contract():
-    assert resolve_backend("legacy") == "legacy"
-    assert resolve_backend("python") == "python"
-    auto = resolve_backend("auto")
-    assert auto in ("python", "numpy")
-    with pytest.raises(WorkloadError):
-        resolve_backend("fortran")
+        samples = collector.samples
+        times = [s.time for s in samples]
+        checked = raised = 0
+        for _ in range(300):
+            if rng.random() < 0.5:  # boundaries exactly on sample times
+                start, end = sorted(rng.sample(times, 2))
+            else:
+                start, end = sorted(rng.randrange(0, 21_000) for _ in "ab")
+            inside = sum(start <= t <= end for t in times)
+            if inside < 2:
+                with pytest.raises(EstimationError):
+                    collector.window_estimate(start, end)
+                with pytest.raises(EstimationError):
+                    window_estimate(samples, start, end)
+                raised += 1
+            else:
+                assert collector.window_estimate(start, end) == (
+                    window_estimate(samples, start, end)
+                ), f"seed {seed}: [{start}, {end}]"
+                checked += 1
+        assert checked and raised, f"seed {seed}"
