@@ -222,10 +222,12 @@ class ParallelRunner:
         """A :class:`~repro.supervise.PoolLease` for lock-step protocols.
 
         Pass the lease as ``session=`` to consecutive
-        :meth:`map_outcomes` calls to reuse one worker pool (and the
-        warm per-process state it holds) across them, then ``close()``
-        it — or use it as a context manager.  Supervision semantics are
-        unchanged: a crashed or hung pool is discarded and rebuilt.
+        :meth:`map_outcomes` calls to keep their workers (and the warm
+        per-process state they hold) across them: item ``i`` of every
+        call runs in the same worker process, slot ``i mod workers``.
+        ``close()`` it afterwards — or use it as a context manager.
+        Supervision semantics are unchanged: a crashed or hung worker's
+        slot is discarded and rebuilt, and the other slots keep theirs.
         """
         return PoolLease()
 
@@ -369,8 +371,9 @@ class ParallelRunner:
         ``log.message`` boundary record before each fresh job, exactly
         like :meth:`run_many_outcomes`; ``diagnosis`` (requires a
         tracer) scores each job's segment exactly as there.
-        ``session`` (see :meth:`session`) reuses one worker pool across
-        consecutive calls instead of building a fresh one per call.
+        ``session`` (see :meth:`session`) keeps the workers across
+        consecutive calls, item ``i`` always on the same one, instead of
+        building a fresh pool per call.
         """
         n = len(items)
         _check_diagnosis(diagnosis, tracer)

@@ -34,14 +34,19 @@ have infinite lookahead: the plan collapses to a single window and the
 engine degenerates to the plain shard map, paying ~nothing for the sync
 machinery (``benchmarks/perf_baseline.json``, ``cross_shard``).
 
-Execution rides the supervised :class:`~repro.parallel.ParallelRunner`:
-each ``(shard, window)`` is one pure job whose payload carries the
-shard's *full* inbox history, so any worker can rebuild the shard from
-scratch — retries, crashes, checkpoints and resume compose unchanged.
-A worker that already advanced the shard keeps it in a module-level
-cache keyed by a rolling digest of the delivered history and only
-replays when the digest disagrees (or a prior attempt died mid-window),
-so the common case after the first window is incremental, not O(n²).
+Execution rides the supervised :class:`~repro.parallel.ParallelRunner`,
+one supervised run per window under a :class:`~repro.supervise.PoolLease`
+that pins shard ``s`` to worker slot ``s mod workers`` for the whole
+run.  Each ``(shard, window)`` job therefore ships only that window's
+inbox plus the rolling digest of the shard's earlier inboxes, and the
+worker advances the components it kept warm in a module-level cache —
+every window is incremental.  A worker whose cache disagrees with the
+digest (a fresh slot after a crash, or the first live window after a
+checkpoint resume) answers :data:`COLD` without simulating, and the
+coordinator re-sends that shard with its full history, from which the
+worker rebuilds it (:func:`_replay`): the one recovery path, so
+retries, crashes, checkpoints and resume still compose with
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -49,7 +54,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import os
+from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 from repro.errors import WorkloadError
@@ -229,23 +236,35 @@ def _replay(builder, indices, ends, history, upto) -> _ShardState:
     return state
 
 
-def _advance_shard(token, builder, indices, ends, upto, history):
+#: A delta job's answer when its process holds no state for the shard
+#: through the previous window: nothing was simulated, and the
+#: coordinator re-sends the shard with its full history.
+COLD = "cold"
+
+
+def _advance_shard(token, builder, indices, ends, upto, chain, inbox, history):
     """Worker entry point: one (shard, window) supervised job.
 
-    ``history[w]`` is the shard's exchange-ordered inbox for window
-    ``w`` (``w <= upto``).  Carrying the full history keeps the job
-    pure — any worker, fresh or warm, produces the same bytes; the
-    cache only short-circuits the replay.
+    ``inbox`` is the shard's exchange-ordered inbox for window ``upto``
+    and ``chain`` the digest of its inboxes for windows ``0..upto-1``.
+    A *delta* job (``history=None``) advances the warm state this
+    process kept from the shard's previous window — the pool lease pins
+    a shard's jobs to one worker — and answers :data:`COLD` without
+    simulating when that state is missing, dirty or disagrees with
+    ``chain`` (a fresh worker after a crash, or the first live window
+    after a checkpoint resume).  A *full* job also carries ``history``,
+    the inboxes of windows ``0..upto-1``, and rebuilds the shard through
+    :func:`_replay` whenever its state is not warm, so it always
+    advances: the one recovery path.
     """
     key = (token, indices)
     state = _STATE.get(key)
-    chain = _CHAIN_SEED
-    for window in range(upto):
-        chain = _chain_digest(chain, history[window])
     if (
         state is None or state.dirty
         or state.windows_done != upto or state.chain != chain
     ):
+        if history is None:
+            return COLD
         for stale in [k for k in _STATE if k[0] != token]:
             del _STATE[stale]
         state = _replay(builder, indices, ends, history, upto)
@@ -254,15 +273,15 @@ def _advance_shard(token, builder, indices, ends, upto, history):
     by_index = {c.index: c for c in state.components}
     end = ends[upto]
     # Anything that raises past this point leaves half-advanced
-    # simulators behind; the dirty flag forces the retry to replay.
+    # simulators behind; the dirty flag makes the next job replay.
     state.dirty = True
-    for message in history[upto]:
+    for message in inbox:
         by_index[message.dst].deliver(message)
     outbox: list[SyncMessage] = []
     for component in state.components:
         outbox.extend(component.advance(end))
     state.windows_done = upto + 1
-    state.chain = _chain_digest(state.chain, history[upto])
+    state.chain = _chain_digest(state.chain, inbox)
     state.dirty = False
 
     for message in outbox:
@@ -306,19 +325,33 @@ def run_windowed(
     picklable (a module-level function or :func:`functools.partial`
     over picklable arguments) since workers rebuild components from it.
     ``shards``/``workers`` choose the partition and the pool exactly as
-    in :func:`repro.experiments.fanin.run_fanin_sharded`; ``policy``,
-    ``checkpoint`` and ``tracer`` thread through the supervised runner
-    (the tracer receives one ``shard.window`` record per barrier, and a
-    checkpointed run resumes window-by-window).  ``metrics`` (a
-    :class:`~repro.obs.metrics.MetricsRegistry`) gains the
-    ``sim.sync.windows`` / ``sim.sync.exchanged_events`` counters.
+    in :func:`repro.experiments.fanin.run_fanin_sharded`; ``policy`` and
+    ``tracer`` thread through the supervised runner (the tracer receives
+    one ``shard.window`` record per barrier).
+
+    The runner's pool lease pins shard ``s`` to worker slot
+    ``s mod workers`` for the whole run, so each (shard, window) job
+    ships only that window's inbox and the worker advances the state it
+    kept warm.  A job answering :data:`COLD` is re-sent with the shard's
+    full history in a second round; ``metrics`` (a
+    :class:`~repro.obs.metrics.MetricsRegistry`) counts those re-sends
+    as ``sim.sync.replays`` beside the ``sim.sync.windows`` /
+    ``sim.sync.exchanged_events`` counters.  Replays depend on
+    placement, so they never enter :class:`SyncRunResult`.
+
+    ``checkpoint`` (a store or directory) records every window's
+    replies and a later run skips the windows it holds, resuming window
+    by window.  The engine records them itself, not the supervisor: a
+    delta job's reply depends on the worker that ran it, and a
+    :data:`COLD` reply must never be stored.
     """
-    from repro.parallel import ParallelRunner, _require_all_ok
+    from repro.parallel import ParallelRunner, _as_store, _require_all_ok
     from repro.supervise.checkpoint import job_key
 
     splan = ShardPlan.round_robin(count, shards)
     ends = plan.window_ends()
     runner = ParallelRunner(workers, start_method=start_method, policy=policy)
+    store = _as_store(checkpoint)
     # The token namespaces worker caches per engine run; it is *not*
     # part of the checkpoint key (which must survive restarts).
     token = f"{os.getpid()}:{next(_RUN_TOKENS)}"
@@ -327,6 +360,8 @@ def run_windowed(
     clock = [0]
     if tracer is not None:
         tracer.bind_clock(lambda: clock[0])
+    if metrics is not None:
+        metrics.counter("sim.sync.replays")  # present, and 0, when healthy
 
     histories: list[list[tuple[SyncMessage, ...]]] = [
         [] for _ in range(splan.shards)
@@ -337,41 +372,66 @@ def run_windowed(
     exchanged = 0
     events_executed = 0
 
-    with runner.session() as session:
+    with ExitStack() as cleanup:
+        session = cleanup.enter_context(runner.session())
+        if store is not checkpoint:  # opened here from a directory
+            cleanup.callback(store.close)
         for window, end in enumerate(ends):
+            payloads, keys = [], []
             for shard in range(splan.shards):
-                due = sorted(
+                due = tuple(sorted(
                     (m for m in pending[shard] if m.arrival_ns <= end),
                     key=lambda m: m.key,
-                )
+                ))
                 pending[shard] = [
                     m for m in pending[shard] if m.arrival_ns > end
                 ]
-                histories[shard].append(tuple(due))
+                # Window 0 has no history, so its jobs are full ones.
+                payloads.append((
+                    token, builder, splan.assignments[shard], ends,
+                    window, chains[shard], due, () if window == 0 else None,
+                ))
+                histories[shard].append(due)
                 chains[shard] = _chain_digest(chains[shard], due)
-            payloads = [
-                (
-                    token, builder, splan.assignments[shard],
-                    ends, window, tuple(histories[shard]),
+                keys.append(
+                    f"sync-{scenario}-s{shard}-w{window}-{chains[shard][:16]}"
                 )
-                for shard in range(splan.shards)
-            ]
-            keys = [
-                f"sync-{scenario}-s{shard}-w{window}-{chains[shard][:16]}"
-                for shard in range(splan.shards)
-            ]
             labels = [
                 f"{label} window {window + 1}/{len(ends)} "
                 f"shard {shard + 1}/{splan.shards}"
                 for shard in range(splan.shards)
             ]
-            returns = _require_all_ok(
-                runner.map_outcomes(
-                    _advance_shard, payloads,
-                    checkpoint=checkpoint, labels=labels, keys=keys,
-                    session=session,
+            stored = [
+                store.get(key) if store is not None else None for key in keys
+            ]
+            if all(entry is not None for entry in stored):
+                returns = [result for result, _ in stored]
+            else:
+                advance = partial(
+                    runner.map_outcomes, _advance_shard,
+                    labels=labels, keys=keys, session=session,
                 )
-            )
+                returns = _require_all_ok(advance(payloads))
+                cold = [s for s, reply in enumerate(returns) if reply == COLD]
+                if cold:
+                    # The re-send keeps every shard at its job index, so
+                    # each lands on its own slot and warms it again; the
+                    # warm shards' repeated deltas just answer COLD.
+                    for shard in cold:
+                        payloads[shard] = payloads[shard][:-1] + (
+                            tuple(histories[shard][:-1]),
+                        )
+                    resent = _require_all_ok(advance(payloads))
+                    for shard in cold:
+                        returns[shard] = resent[shard]
+                    if metrics is not None:
+                        metrics.counter("sim.sync.replays").inc(len(cold))
+                if store is not None:
+                    for key, entry, reply, name in zip(
+                        keys, stored, returns, labels
+                    ):
+                        if entry is None:
+                            store.record_success(key, reply, label=name)
             emitted: list[SyncMessage] = []
             for outbox, results, events in returns:
                 emitted.extend(outbox)

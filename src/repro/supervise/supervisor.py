@@ -38,7 +38,10 @@ The executor is :class:`concurrent.futures.ProcessPoolExecutor`: a dead
 worker surfaces promptly as a broken pool (no timeout wait), and the
 pool is rebuilt fresh for the survivors.  Hung workers have no such
 signal — they are caught by the per-job wall-clock deadline and removed
-by killing the pool's processes outright.
+by killing the pool's processes outright.  Under a :class:`PoolLease`
+each worker is its own one-process pool (a *slot*), job ``i`` is pinned
+to slot ``i mod workers``, and a crash or hang retires only the slot it
+happened in.
 """
 
 from __future__ import annotations
@@ -88,55 +91,56 @@ def _guarded(fn: Callable, payload):
 
 
 class PoolLease:
-    """A reusable worker-pool slot shared by consecutive supervised runs.
+    """Pinned worker slots shared by consecutive supervised runs.
 
     A :class:`Supervisor` normally builds a fresh
     :class:`~concurrent.futures.ProcessPoolExecutor` per :meth:`run`
     and tears it down on exit.  That is correct but wasteful for
     lock-stepped protocols (the windowed cross-shard engine issues one
     supervised run *per window*) where worker processes also hold warm
-    module-level state.  A lease keeps one executor alive across runs:
+    module-level state.  A lease keeps one single-process executor per
+    *slot* alive across runs, and a leased supervisor sends job ``i`` of
+    every run to slot ``i mod workers`` — so job ``i`` of consecutive
+    runs always executes in the same worker process:
 
-    - :meth:`executor` hands the current pool to a supervisor, creating
-      (or growing) it on demand;
-    - :meth:`discard` kills it outright — the supervisor calls this on a
-      crash or a hung-job kill, so a poisoned pool is never reused;
-    - :meth:`close` shuts it down at end of session.
+    - :meth:`executor` hands a slot's pool to a supervisor, creating it
+      on demand (slots are added as runs need them, never dropped);
+    - :meth:`discard` kills one slot's pool outright — the supervisor
+      calls this when that slot crashes or hangs, so a poisoned worker
+      is never reused while the other slots keep theirs;
+    - :meth:`close` shuts every slot down at end of session.
 
-    Correctness never depends on the lease: every supervised job is
-    pure, so a discarded pool only costs warm state, not result bytes.
+    Correctness never depends on the lease: a discarded slot only costs
+    warm state, not result bytes (a windowed-engine job that finds its
+    state gone answers *cold* and is re-sent with its full history; see
+    :mod:`repro.sim.sync`).
     """
 
     def __init__(self):
-        self._executor: ProcessPoolExecutor | None = None
-        self._workers = 0
+        self._slots: dict[int, ProcessPoolExecutor] = {}
 
-    def executor(self, ctx, workers: int) -> ProcessPoolExecutor:
-        """The live pool, built (or rebuilt larger) on demand."""
-        if self._executor is not None and self._workers < workers:
-            self.discard()
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=workers, mp_context=ctx,
-            )
-            self._workers = workers
-        return self._executor
+    def executor(self, ctx, slot: int) -> ProcessPoolExecutor:
+        """Slot ``slot``'s one-worker pool, built on demand."""
+        executor = self._slots.get(slot)
+        if executor is None:
+            executor = ProcessPoolExecutor(max_workers=1, mp_context=ctx)
+            self._slots[slot] = executor
+        return executor
 
     def owns(self, executor) -> bool:
-        return executor is not None and executor is self._executor
+        return any(executor is live for live in self._slots.values())
 
-    def discard(self) -> None:
-        """Kill the pool now (hung or crashed workers included)."""
-        if self._executor is not None:
-            Supervisor._kill_executor(self._executor)
-            self._executor = None
-            self._workers = 0
+    def discard(self, executor) -> None:
+        """Kill one slot's pool now (a hung or crashed worker included)."""
+        for slot, live in list(self._slots.items()):
+            if live is executor:
+                del self._slots[slot]
+                Supervisor._kill_executor(live)
 
     def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
-            self._workers = 0
+        for executor in self._slots.values():
+            executor.shutdown(wait=False, cancel_futures=True)
+        self._slots.clear()
 
     def __enter__(self) -> "PoolLease":
         return self
@@ -475,15 +479,20 @@ class Supervisor:
     # Pooled execution (workers > 1).
     # ------------------------------------------------------------------
 
-    def _new_executor(self, ctx, workers: int) -> ProcessPoolExecutor:
+    def _slot(self, job: _Job) -> int:
+        """A leased run pins job ``i`` to slot ``i mod workers``; an
+        unleased run shares one pool, slot 0."""
+        return job.index % self.workers if self.pool is not None else 0
+
+    def _new_executor(self, ctx, workers: int, slot: int):
         if self.pool is not None:
-            return self.pool.executor(ctx, workers)
+            return self.pool.executor(ctx, slot)
         return ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
 
     def _discard_executor(self, executor: ProcessPoolExecutor) -> None:
         """Retire a broken/hung pool, through the lease when it owns it."""
         if self.pool is not None and self.pool.owns(executor):
-            self.pool.discard()
+            self.pool.discard(executor)
         else:
             self._kill_executor(executor)
 
@@ -498,12 +507,13 @@ class Supervisor:
                 pass
         executor.shutdown(wait=False, cancel_futures=True)
 
-    def _pop_eligible(self, pending: deque) -> _Job | None:
-        """The first job whose backoff embargo has expired."""
+    def _pop_eligible(self, pending: deque, busy=()) -> _Job | None:
+        """The first job whose backoff embargo has expired and whose
+        slot is not in ``busy``."""
         now = time.monotonic()
         for _ in range(len(pending)):
             job = pending.popleft()
-            if job.not_before <= now:
+            if job.not_before <= now and self._slot(job) not in busy:
                 return job
             pending.append(job)
         return None
@@ -513,15 +523,25 @@ class Supervisor:
         workers = min(self.workers, len(jobs))
         ctx = multiprocessing.get_context(self.start_method)
         pending: deque[_Job] = deque(jobs)
-        executor = self._new_executor(ctx, workers)
+        executors: dict = {}  # slot -> its live pool, built on demand
         # future -> (job, wall-clock deadline or None, owning executor)
         inflight: dict = {}
         try:
             while pending or inflight:
                 while pending and len(inflight) < workers:
-                    job = self._pop_eligible(pending)
+                    # A leased slot is one worker: one job in flight each.
+                    busy = (
+                        {self._slot(job) for job, _, _ in inflight.values()}
+                        if self.pool is not None else ()
+                    )
+                    job = self._pop_eligible(pending, busy)
                     if job is None:
                         break
+                    slot = self._slot(job)
+                    executor = executors.get(slot)
+                    if executor is None:
+                        executor = self._new_executor(ctx, workers, slot)
+                        executors[slot] = executor
                     future = executor.submit(_guarded, fn, job.payload)
                     deadline = (
                         time.monotonic() + policy.job_timeout_s
@@ -539,7 +559,7 @@ class Supervisor:
                     return_when=FIRST_COMPLETED,
                 )
 
-                current_broken = False
+                broken = set()
                 for future in done:
                     job, _, owner = inflight.pop(future)
                     try:
@@ -549,8 +569,8 @@ class Supervisor:
                         # from an already-replaced pool don't force
                         # another rebuild.
                         self._crashed(outcomes, pending, job)
-                        if owner is executor:
-                            current_broken = True
+                        if owner in executors.values():
+                            broken.add(owner)
                         continue
                     if envelope[0] == "ok":
                         self._complete(outcomes, job, envelope[1])
@@ -561,13 +581,14 @@ class Supervisor:
                             error_type, message, tb, poison,
                         )
 
-                if current_broken:
-                    self.metrics.counter("supervise.pool_restarts").inc()
+                if broken:
+                    self.metrics.counter("supervise.pool_restarts").inc(
+                        len(broken)
+                    )
                     self.log.info(
                         "worker pool died; restarting on a fresh pool"
                     )
-                    self._discard_executor(executor)
-                    executor = self._new_executor(ctx, workers)
+                    self._retire(executors, broken)
 
                 # Hung-worker detection: any in-flight job past its
                 # deadline takes a timeout strike; the pool that ran it
@@ -595,15 +616,21 @@ class Supervisor:
                             del inflight[future]
                             job.not_before = 0.0
                             pending.appendleft(job)
-                    for owner in killed:
-                        self._discard_executor(owner)
                     self.metrics.counter("supervise.pool_restarts").inc(
                         len(killed)
                     )
-                    if executor in killed:
-                        executor = self._new_executor(ctx, workers)
+                    self._retire(executors, killed)
         finally:
-            # A leased pool outlives the run by design; the lease owner
-            # closes it.  Anything else is torn down here as before.
-            if not (self.pool is not None and self.pool.owns(executor)):
-                executor.shutdown(wait=False, cancel_futures=True)
+            # Leased slots outlive the run by design; the lease owner
+            # closes them.  An unleased pool is torn down here.
+            if self.pool is None:
+                for executor in executors.values():
+                    executor.shutdown(wait=False, cancel_futures=True)
+
+    def _retire(self, executors: dict, dead: set) -> None:
+        """Kill ``dead`` pools; their slots get fresh ones on demand."""
+        for owner in dead:
+            self._discard_executor(owner)
+        for slot, executor in list(executors.items()):
+            if executor in dead:
+                del executors[slot]

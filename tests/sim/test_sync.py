@@ -10,18 +10,25 @@ shared-bottleneck experiment relies on at full scale.
 
 from __future__ import annotations
 
+import base64
+import json
+import os
+import pickle
 from functools import partial
 
 import pytest
 
 from repro.errors import CampaignError, WorkloadError
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.sync import (
+    COLD,
     Mailbox,
     SyncComponent,
     SyncMessage,
     WindowPlan,
     run_windowed,
 )
+from repro.supervise import SupervisePolicy
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +170,113 @@ def test_metrics_count_windows_and_exchanges():
     counters = metrics.snapshot()["counters"]
     assert counters["sim.sync.windows"] == run.windows
     assert counters["sim.sync.exchanged_events"] == run.exchanged_events
+
+
+# ---------------------------------------------------------------------------
+# Recovery: pinned workers, delta inboxes and the cold re-send.
+# ---------------------------------------------------------------------------
+
+_FAST = SupervisePolicy(backoff_base_s=0.0, backoff_max_s=0.0)
+_RING = 3
+_CRASH_AT = 6 * _LOOKAHEAD  # the end of window 6
+
+
+class _CrashingRingComponent(_RingComponent):
+    """Component 1 hard-exits its worker once, at one window end."""
+
+    def __init__(self, index: int, count: int, marker):
+        super().__init__(index, count)
+        self.marker = marker
+
+    def advance(self, until_ns: int):
+        if (
+            self.index == 1 and until_ns == _CRASH_AT
+            and not self.marker.exists()
+        ):
+            self.marker.write_text("crashed")
+            os._exit(1)
+        return super().advance(until_ns)
+
+
+def _build_crashing_ring(count: int, marker, index: int):
+    return _CrashingRingComponent(index, count, marker)
+
+
+def _serial_ring() -> list:
+    plan = WindowPlan(_HORIZON, _LOOKAHEAD)
+    return run_windowed(partial(_build_ring, _RING), _RING, plan).results
+
+
+def _ring_2x2(builder=None, checkpoint=None):
+    """The ring on 2 shards x 2 workers: (results, replays)."""
+    metrics = MetricsRegistry()
+    run = run_windowed(
+        builder or partial(_build_ring, _RING), _RING,
+        WindowPlan(_HORIZON, _LOOKAHEAD), shards=2, workers=2,
+        policy=_FAST, checkpoint=checkpoint, metrics=metrics,
+    )
+    return run.results, metrics.snapshot()["counters"]["sim.sync.replays"]
+
+
+def _stored_replies(directory) -> list:
+    """Every result record in a checkpoint directory, unpickled."""
+    replies = []
+    for path in sorted(directory.glob("shard-*.jsonl")):
+        for line in path.read_text().splitlines():
+            record = json.loads(line)
+            if record.get("kind") == "result":
+                replies.append(
+                    pickle.loads(base64.b64decode(record["payload"]))
+                )
+    return replies
+
+
+def _assert_no_cold_stored(directory) -> None:
+    replies = _stored_replies(directory)
+    assert replies
+    for reply in replies:
+        assert reply != COLD
+        # A real window's reply: (outbox, finals or None, events).
+        assert isinstance(reply, tuple) and len(reply) == 3
+
+
+def test_healthy_pinned_run_never_replays():
+    results, replays = _ring_2x2()
+    assert replays == 0
+    assert results == _serial_ring()
+
+
+def test_worker_crash_replays_the_shard_once(tmp_path):
+    marker = tmp_path / "crashed"
+    results, replays = _ring_2x2(
+        partial(_build_crashing_ring, _RING, marker),
+        checkpoint=tmp_path / "store",
+    )
+    assert marker.exists()  # the worker really died mid-run
+    # The re-send lands on the crashed shard's own (fresh) slot, which
+    # stays warm from then on: one replay, not one per later window.
+    assert replays == 1
+    assert results == _serial_ring()
+    _assert_no_cold_stored(tmp_path / "store")
+
+
+@pytest.mark.parametrize("partial_window", [False, True])
+def test_resume_from_a_cut_store_matches_serial(tmp_path, partial_window):
+    store = tmp_path / "store"
+    _ring_2x2(checkpoint=store)
+    (path,) = store.glob("shard-*.jsonl")
+    lines = path.read_text().splitlines()
+    assert len(lines) == 1 + 2 * len(WindowPlan(_HORIZON, _LOOKAHEAD)
+                                     .window_ends())
+    # Keep the header and windows 0..k-1 (two shards each), plus one
+    # shard of window k for a partially stored window.
+    k = 9
+    path.write_text("\n".join(lines[: 1 + 2 * k + partial_window]) + "\n")
+    results, replays = _ring_2x2(checkpoint=store)
+    assert results == _serial_ring()
+    # The first live window finds both fresh workers cold.
+    assert replays == 2
+    _assert_no_cold_stored(store)
 
 
 class _CheatingComponent(SyncComponent):

@@ -102,9 +102,9 @@ def measure_bottleneck_sync(reps: int) -> dict:
     )
     from repro.units import msecs
 
-    # 80 windows: long enough for real contention, short enough that the
-    # per-window full-history payloads (the price of pure, resumable
-    # jobs) don't dominate the wall-clock being compared.
+    # 80 windows of real contention.  Each window costs the 2x2 run one
+    # executor round trip per shard, so this ratio is a per-window
+    # overhead measurement as much as a parallel one.
     config = BottleneckConfig(warmup_ns=msecs(10), measure_ns=msecs(30))
     serial, serial_s = _best(
         lambda: run_shared_bottleneck(config, shards=1, workers=1), reps
