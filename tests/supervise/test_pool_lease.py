@@ -6,6 +6,8 @@ import multiprocessing
 import os
 import time
 
+import pytest
+
 from repro.supervise import PoolLease, SupervisePolicy, Supervisor
 
 FAST = SupervisePolicy(backoff_base_s=0.0, backoff_max_s=0.0)
@@ -31,12 +33,14 @@ def _crash_until_marker(payload):
     return x * 10
 
 
-def _crash_first_job_once(payload):
-    """Job 0 hard-exits its worker once; every job reports its pid."""
-    marker, x = payload
+def _fail_first_job_once(payload):
+    """Job 0 crashes or hangs its worker once; every job reports its pid."""
+    marker, fault, x = payload
     if x == 0 and not marker.exists():
         marker.write_text("seen")
-        os._exit(1)
+        if fault == "crash":
+            os._exit(1)
+        time.sleep(120)  # past any deadline: the supervisor kills it
     return (x, os.getpid())
 
 
@@ -120,16 +124,23 @@ class TestPoolLease:
             )
             assert follow_up[0].ok
 
-    def test_crash_replaces_only_its_own_slot(self, tmp_path):
-        marker = tmp_path / "crashed"
+    @pytest.mark.parametrize("fault", ["crash", "hang"])
+    def test_fault_replaces_only_its_own_slot(self, tmp_path, fault):
+        marker = tmp_path / "faulted"
+        policy = SupervisePolicy(
+            backoff_base_s=0.0, backoff_max_s=0.0,
+            job_timeout_s=1.0, poll_interval_s=0.02,
+        )
         with PoolLease() as lease:
-            before = _pids(Supervisor(workers=2, policy=FAST, pool=lease).run(
-                _worker_pid, [0, 1]
+            before = _pids(Supervisor(workers=2, policy=policy, pool=lease)
+                           .run(_worker_pid, [0, 1]))
+            supervisor = Supervisor(workers=2, policy=policy, pool=lease)
+            _pids(supervisor.run(
+                _fail_first_job_once,
+                [(marker, fault, 0), (marker, fault, 1)],
             ))
-            supervisor = Supervisor(workers=2, policy=FAST, pool=lease)
-            after = _pids(supervisor.run(
-                _crash_first_job_once, [(marker, 0), (marker, 1)]
-            ))
+            after = _pids(Supervisor(workers=2, policy=policy, pool=lease)
+                          .run(_worker_pid, [0, 1]))
         assert marker.exists()
         assert supervisor.metrics.snapshot()["counters"][
             "supervise.pool_restarts"
