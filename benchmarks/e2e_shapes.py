@@ -154,7 +154,8 @@ def measure_sharded(reps: int = 3, workers: int = 1) -> dict:
 
     Events/sec here counts simulator callbacks summed over every
     connection's sub-simulation divided by the wall-clock of the whole
-    ``run_fanin_sharded`` call (partition, workers, merge included).
+    ``run_fanin_sharded`` call (partition, windowed engine, workers and
+    merge included).
     On a single-CPU box the sharded run cannot beat the serial one —
     the caller records both and gates only the serial ratio.
     """
@@ -192,56 +193,33 @@ def measure_sharded(reps: int = 3, workers: int = 1) -> dict:
 
 
 def measure_cross_shard(reps: int = 3) -> dict:
-    """The windowed engine's sync-machinery cost, serial and native.
+    """The windowed engine's native consumer, serial: events/sec.
 
-    Two shapes:
-
-    - ``fanin_synced`` — the decomposed fan-in *through* the windowed
-      engine.  The fan-in has no cross links, so the lookahead is
-      infinite and the plan collapses to one window: the engine
-      degenerates to the plain shard map, and this ratio should track
-      ``sharded.fanin_serial`` — any gap is pure sync-machinery
-      overhead.  This is the gated number.
-    - ``bottleneck`` — the engine's native consumer (N flows × one
-      shared link, one window per lookahead).  Its ratio depends on the
-      window count, so it is recorded for the trajectory, not gated.
+    ``bottleneck`` is N flows × one shared link, one window per
+    lookahead.  Its ratio depends on the window count, so it is
+    recorded for the trajectory, not gated.  (The decomposed fan-in
+    runs on the same engine; :func:`measure_sharded` times it.)
     """
     from repro.experiments.bottleneck import (
         BottleneckConfig,
         run_shared_bottleneck,
     )
-    from repro.experiments.fanin import FaninConfig, run_fanin_synced
 
-    fanin_config = FaninConfig(warmup_ns=msecs(10), measure_ns=msecs(40))
-    bottleneck_config = BottleneckConfig(
-        warmup_ns=msecs(10), measure_ns=msecs(30)
-    )
+    config = BottleneckConfig(warmup_ns=msecs(10), measure_ns=msecs(30))
 
-    def timed(run) -> float:
+    def timed() -> float:
         start = time.perf_counter()
-        result = run()
+        result = run_shared_bottleneck(config)
         return result.events_executed / (time.perf_counter() - start)
 
-    fanin_eps = max(
-        timed(lambda: run_fanin_synced(fanin_config)) for _ in range(reps)
-    )
-    windows = run_shared_bottleneck(bottleneck_config).windows
-    bottleneck_eps = max(
-        timed(lambda: run_shared_bottleneck(bottleneck_config))
-        for _ in range(reps)
-    )
+    windows = run_shared_bottleneck(config).windows
+    bottleneck_eps = max(timed() for _ in range(reps))
     kernel = kernel_reference(reps)
     return {
-        "shapes": {
-            "fanin_synced": round(fanin_eps),
-            "bottleneck": round(bottleneck_eps),
-        },
+        "shapes": {"bottleneck": round(bottleneck_eps)},
         "bottleneck_windows": windows,
         "kernel_chained": round(kernel),
-        "normalized": {
-            "fanin_synced": round(fanin_eps / kernel, 4),
-            "bottleneck": round(bottleneck_eps / kernel, 4),
-        },
+        "normalized": {"bottleneck": round(bottleneck_eps / kernel, 4)},
     }
 
 

@@ -236,8 +236,9 @@ def _run_bench_cell(config, watchdog=None, tracer=None):
 def _run_fanin_cell(config, with_toggler=False, shards=None):
     """One ``fanin`` cell: N clients through a switch into one server.
 
-    With ``shards`` set the cell runs through the component-sharded
-    path (byte-identical per connection; see docs/PERFORMANCE.md), which
+    With ``shards`` set the cell runs the decomposed model on the
+    windowed engine (:func:`~repro.experiments.fanin.run_fanin_sharded`,
+    byte-identical for every shard count; see docs/PERFORMANCE.md) and
     returns a :class:`~repro.experiments.fanin.ShardedFaninResult`.
     """
     if shards is not None:

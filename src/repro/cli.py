@@ -1140,8 +1140,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "JSON (byte-diffable across shard/worker "
                               "counts)")
     p_fanin.add_argument("--trace", default=None, metavar="PATH",
-                         help="record the campaign as repro-trace-v1 JSONL "
-                              "(forces serial execution)")
+                         help="record the sharded run's shard.window "
+                              "barrier records as repro-trace-v1 JSONL")
     _add_measure(p_fanin, 150)
     _add_workers(p_fanin)
     _add_supervise(p_fanin)

@@ -2,9 +2,9 @@
 
 The regime the decomposed fan-in cannot reach: every flow's packets
 contend for the *same* bottleneck link, so the flows' sub-simulations
-are coupled and the plain shard map of :mod:`repro.sim.shard` does not
-apply.  This experiment is the first consumer of the conservative
-windowed engine (:mod:`repro.sim.sync`):
+are coupled.  Both scenarios run on the conservative windowed engine
+(:mod:`repro.sim.sync`), but where the fan-in's connections never
+exchange a packet, these components exchange packets every window:
 
 - **Flow component** ``i`` (components ``0..flows-1``): hosts
   ``sender{i}`` and ``rcv{i}`` with one TCP connection between them

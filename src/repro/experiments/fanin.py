@@ -13,6 +13,7 @@ estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.analysis.counters import CounterCollector
 from repro.analysis.report import format_table
@@ -28,7 +29,7 @@ from repro.loadgen.stats import summarize
 from repro.net.switch import Star
 from repro.sim.loop import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.sync import SyncComponent
+from repro.sim.sync import SyncComponent, WindowPlan, run_windowed
 from repro.tcp.connect import connect_pair
 from repro.tcp.socket import TcpConfig
 from repro.units import msecs, to_usecs, usecs
@@ -227,11 +228,10 @@ class ConnectionShard:
     estimate_latency_ns: float | None
     estimate_throughput: float | None
     server_net_util: float
-    events_executed: int
 
 
-class _ConnectionSim:
-    """One fan-in connection's isolated sub-simulation, build/run split.
+class _FaninSyncComponent(SyncComponent):
+    """One decomposed fan-in connection as a windowed-engine component.
 
     The decomposed model: this client and a server *replica* of its own,
     joined by the same switch fabric — not the shared, contended server
@@ -239,10 +239,10 @@ class _ConnectionSim:
     applies).  Everything partition-relevant is keyed by the *global*
     connection index — the RNG stream (``arrivals.{index}``), host and
     socket names — so the output is a pure function of ``(config,
-    index)``, never of the shard that happened to run it.  The
-    build/run split exists so the windowed engine
-    (:func:`run_fanin_synced`) can drive the identical simulation in
-    steps; :func:`_run_fanin_connection` remains the one-shot form.
+    index)``, never of the shard that happened to run it.
+
+    Connections never exchange packets, so the component has infinite
+    lookahead: it posts nothing and must receive nothing.
     """
 
     def __init__(self, config: FaninConfig, index: int):
@@ -305,6 +305,21 @@ class _ConnectionSim:
         self.measure_start = measure_start
         self.measure_end = measure_end
 
+    def deliver(self, message) -> None:
+        from repro.errors import WorkloadError
+
+        raise WorkloadError(
+            "fan-in connections are independent; nothing should be "
+            f"addressed to component {self.index}"
+        )
+
+    def advance(self, until_ns: int) -> list:
+        self.sim.run(until=until_ns)
+        return []
+
+    def events_executed(self) -> int:
+        return self.sim.events_executed
+
     def finish(self) -> ConnectionShard:
         """Stop collection and package the shard-neutral output."""
         self.collector.stop()
@@ -330,21 +345,7 @@ class _ConnectionSim:
             estimate_latency_ns=estimate_latency,
             estimate_throughput=estimate_throughput,
             server_net_util=self.server_host.net_core.utilization(),
-            events_executed=self.sim.events_executed,
         )
-
-
-def _run_fanin_connection(config: FaninConfig, index: int) -> ConnectionShard:
-    """Run one fan-in connection as an isolated sub-simulation."""
-    conn = _ConnectionSim(config, index)
-    conn.sim.run(until=conn.measure_end)
-    return conn.finish()
-
-
-def _run_fanin_shard(config: FaninConfig, indices) -> list:
-    """Worker entry point: run one shard's connections (must be
-    module-level so it pickles under every start method)."""
-    return [_run_fanin_connection(config, index) for index in indices]
 
 
 @dataclass
@@ -391,57 +392,39 @@ def run_fanin_sharded(
     tracer=None,
     metrics=None,
 ) -> ShardedFaninResult:
-    """Run the decomposed fan-in scenario across a supervised shard pool.
+    """Run the decomposed fan-in scenario on the windowed engine.
 
-    Connections are partitioned by :class:`~repro.sim.shard.ShardPlan`
-    (round-robin on global index), each shard runs its connections'
-    sub-simulations in a supervised worker (retries, checkpoints, and
-    traces work exactly as in any campaign — ``checkpoint`` makes the
-    shard set resumable, ``tracer`` forces serial traced execution),
-    and the per-connection completion streams are recombined with the
+    Each connection is one :class:`_FaninSyncComponent`; connections
+    are partitioned by :class:`~repro.sim.shard.ShardPlan` (round-robin
+    on global index) and advanced by
+    :func:`~repro.sim.sync.run_windowed` on a supervised worker pool.
+    With no cross-connection links the lookahead is infinite, so the
+    whole horizon is one window.  ``policy``, ``checkpoint`` and
+    ``tracer`` thread through the engine exactly as for
+    :func:`~repro.experiments.bottleneck.run_shared_bottleneck`.  The
+    per-connection completion streams are recombined with the
     deterministic :func:`~repro.sim.shard.merge_streams` order
     ``(timestamp, connection, sequence)``.  Output is byte-identical
     for every ``(shards, workers)`` combination — the contract CI
-    enforces by diffing ``--shards 2`` against the serial run.
+    enforces by diffing ``--shards 2 --workers 2`` against the serial
+    run.
 
     ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) receives
-    the ``sim.shard.merged_events`` counter.
-    """
-    from repro.parallel import ParallelRunner, _require_all_ok
-    from repro.sim.shard import ShardPlan, merge_digest, merge_streams
-
-    plan = ShardPlan.round_robin(config.clients, shards)
-    payloads = [(config, indices) for indices in plan.assignments]
-    labels = [
-        f"fanin shard {number}/{plan.shards}: conns {list(indices)}"
-        for number, indices in enumerate(plan.assignments, start=1)
-    ]
-    runner = ParallelRunner(workers, policy=policy)
-    outcomes = runner.map_outcomes(
-        _run_fanin_shard, payloads,
-        checkpoint=checkpoint, labels=labels, tracer=tracer,
-    )
-    shard_results = _require_all_ok(outcomes)
-
-    conns = sorted(
-        (conn for shard in shard_results for conn in shard),
-        key=lambda conn: conn.index,
-    )
-    return _assemble_sharded_result(config, conns, metrics)
-
-
-def _assemble_sharded_result(
-    config: FaninConfig, conns, metrics=None
-) -> ShardedFaninResult:
-    """Recombine per-connection outputs into the partition-free result.
-
-    Shared by the shard-map path (:func:`run_fanin_sharded`) and the
-    windowed-engine path (:func:`run_fanin_synced`); both therefore
-    agree byte for byte on everything derived from the same
-    :class:`ConnectionShard` set.
+    the ``sim.shard.merged_events`` counter beside the engine's own.
     """
     from repro.sim.shard import merge_digest, merge_streams
 
+    plan = WindowPlan(
+        horizon_ns=config.warmup_ns + config.measure_ns, lookahead_ns=None
+    )
+    sync = run_windowed(
+        partial(_FaninSyncComponent, config),
+        config.clients, plan,
+        shards=shards, workers=workers, policy=policy,
+        checkpoint=checkpoint, tracer=tracer, metrics=metrics,
+        label="fanin",
+    )
+    conns: list[ConnectionShard] = sync.results
     merged = merge_streams((conn.index, list(conn.events)) for conn in conns)
     if metrics is not None:
         metrics.counter("sim.shard.merged_events").inc(len(merged))
@@ -471,83 +454,8 @@ def _assemble_sharded_result(
         server_net_util_mean=sum(utils) / len(utils),
         merged_events=len(merged),
         merge_fingerprint=merge_digest(merged),
-        events_executed=sum(conn.events_executed for conn in conns),
+        events_executed=sync.events_executed,
     )
-
-
-class _FaninSyncComponent(SyncComponent):
-    """One fan-in connection as a windowed-engine component.
-
-    Fan-in connections never exchange packets (each has its own server
-    replica), so the component has infinite lookahead: it posts nothing
-    and must receive nothing.
-    """
-
-    def __init__(self, config: FaninConfig, index: int):
-        self.index = index
-        self._conn = _ConnectionSim(config, index)
-
-    def deliver(self, message) -> None:
-        from repro.errors import WorkloadError
-
-        raise WorkloadError(
-            "fan-in connections are independent; nothing should be "
-            f"addressed to component {self.index}"
-        )
-
-    def advance(self, until_ns: int) -> list:
-        self._conn.sim.run(until=until_ns)
-        return []
-
-    def events_executed(self) -> int:
-        return self._conn.sim.events_executed
-
-    def finish(self) -> ConnectionShard:
-        return self._conn.finish()
-
-
-def _build_fanin_component(
-    config: FaninConfig, index: int
-) -> _FaninSyncComponent:
-    """Picklable component builder for :func:`run_fanin_synced`."""
-    return _FaninSyncComponent(config, index)
-
-
-def run_fanin_synced(
-    config: FaninConfig,
-    shards: int = 1,
-    workers: int = 1,
-    policy=None,
-    checkpoint=None,
-    tracer=None,
-    metrics=None,
-) -> ShardedFaninResult:
-    """The decomposed fan-in through the windowed cross-shard engine.
-
-    With no cross-component links the lookahead is infinite, the plan
-    collapses to a single window, and the engine degenerates to the
-    plain shard map — which is exactly the point: this path proves (and
-    ``benchmarks/test_bench_perf.py`` gates) that the sync machinery
-    costs ~nothing when there is nothing to synchronize.  Output is
-    byte-identical to :func:`run_fanin_sharded` at every ``(shards,
-    workers)`` combination.
-    """
-    from functools import partial
-
-    from repro.sim.sync import WindowPlan, run_windowed
-
-    plan = WindowPlan(
-        horizon_ns=config.warmup_ns + config.measure_ns, lookahead_ns=None
-    )
-    sync = run_windowed(
-        partial(_build_fanin_component, config),
-        config.clients, plan,
-        shards=shards, workers=workers, policy=policy,
-        checkpoint=checkpoint, tracer=tracer, metrics=metrics,
-        label="fanin",
-    )
-    conns = sorted(sync.results, key=lambda conn: conn.index)
-    return _assemble_sharded_result(config, conns, metrics)
 
 
 def run_fanin_many(

@@ -91,19 +91,16 @@ class Host:
         name: str,
         costs: HostCosts | None = None,
         nic_config: NicConfig | None = None,
-        trace=None,
         tracer=None,
     ):
-        from repro.sim.trace import TraceRecorder
+        from repro.obs.tracer import NULL_TRACER
 
         self._sim = sim
         self.name = name
         self.costs = costs or HostCosts()
-        # Disabled-by-default event taps; enable with
-        # ``host.trace.enabled = True`` to record protocol events.
-        # ``tracer`` (a repro.obs Tracer) additionally mirrors every tap
-        # into the unified repro-trace-v1 stream.
-        self.trace = trace or TraceRecorder(sim, forward=tracer)
+        # The run's repro.obs Tracer: the TCP sockets on this host emit
+        # their protocol taps to it as ``tcp.event`` records.
+        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.app_core = CpuCore(sim, name=f"{name}.app")
         self.net_core = CpuCore(sim, name=f"{name}.net")
         self.nic = Nic(sim, nic_config or NicConfig(), name=f"{name}.nic")

@@ -160,8 +160,8 @@ RECORD_TYPES: dict[str, dict] = {
     },
     "tcp.event": {
         "doc": (
-            "A protocol tap from the TCP layer (the legacy per-host "
-            "TraceRecorder taps, unified onto this stream)."
+            "A protocol tap from a TCP socket, emitted to its host's "
+            "tracer."
         ),
         "fields": {
             "event": (
@@ -180,8 +180,7 @@ RECORD_TYPES: dict[str, dict] = {
     "shard.window": {
         "doc": (
             "The windowed cross-shard engine crossed one lock-step "
-            "barrier (see docs/PERFORMANCE.md, 'Cross-shard "
-            "synchronization')."
+            "barrier (see docs/PERFORMANCE.md, 'Intra-run sharding')."
         ),
         "fields": {
             "window": (int, "window index (1-based)"),

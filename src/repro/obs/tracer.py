@@ -15,8 +15,7 @@ time.
 
 Typed emit helpers (:meth:`queue_sample`, :meth:`exchange_send`, …)
 build records that conform to :mod:`repro.obs.schema` by construction;
-the generic :meth:`emit` is the escape hatch the legacy per-host taps
-forward through.
+the generic :meth:`emit` is the escape hatch beneath them.
 """
 
 from __future__ import annotations
@@ -210,7 +209,7 @@ class Tracer:
             )
 
     def tcp_event(self, src: str, event: str, detail=None) -> None:
-        """A ``tcp.event``: a legacy protocol tap, unified."""
+        """A ``tcp.event``: a TCP socket's protocol tap."""
         if self.enabled:
             self.emit("tcp.event", src, event=event, detail=detail)
 

@@ -13,8 +13,6 @@ of SimPy, written from scratch for this reproduction.  The pieces:
   store operations.
 - :mod:`~repro.sim.resources` — FIFO stores and counted resources.
 - :mod:`~repro.sim.rng` — named, seeded random streams for reproducibility.
-- :mod:`~repro.sim.trace` — lightweight trace recording for debugging and
-  offline analysis.
 """
 
 from repro.sim.events import Event
@@ -22,7 +20,6 @@ from repro.sim.loop import Simulator
 from repro.sim.process import Process, Timeout
 from repro.sim.resources import Resource, Store
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceRecorder
 
 __all__ = [
     "Event",
@@ -32,5 +29,4 @@ __all__ = [
     "Simulator",
     "Store",
     "Timeout",
-    "TraceRecorder",
 ]

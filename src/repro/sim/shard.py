@@ -3,13 +3,14 @@
 Campaign-level parallelism (:mod:`repro.parallel`) only helps when there
 are many runs; a single large scenario — the fan-in experiments, the
 buffer-sizing sweeps where *n* flows is the variable — still executes on
-one core.  This module supplies the two primitives that let one run span
-a worker pool without giving up determinism:
+one core.  The windowed engine (:mod:`repro.sim.sync`) lets one run span
+a worker pool; this module supplies the two primitives it and its
+consumers rely on to keep determinism:
 
-- :class:`ShardPlan` partitions a scenario's independent components
-  (connections, hosts) into shards by a fixed rule, so the same
+- :class:`ShardPlan` partitions a scenario's components (connections,
+  flows, the fabric) into shards by a fixed rule, so the same
   ``(count, shards)`` always yields the same partition;
-- :func:`merge_streams` recombines the shards' timestamped event
+- :func:`merge_streams` recombines per-component timestamped event
   streams into one totally-ordered stream whose order is **invariant to
   the partition**.
 

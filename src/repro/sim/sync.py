@@ -1,8 +1,8 @@
 """Conservative cross-shard simulation: lock-stepped time windows.
 
-:mod:`repro.sim.shard` parallelizes a run only when its components never
-talk to each other (the decomposed fan-in).  This module generalizes the
-same determinism contract to topologies whose components *do* exchange
+This is the one engine that runs a scenario across shards.  It builds on
+the partition and merge primitives of :mod:`repro.sim.shard` and keeps
+their determinism contract for topologies whose components exchange
 packets — many flows contending on one bottleneck link — with the
 classic conservative parallel-DES recipe:
 
@@ -30,9 +30,8 @@ the identical inbox in the identical order whether it shares a shard
 ``sim.sync.windows`` / ``sim.sync.exchanged_events`` counts themselves
 — are byte-identical for every ``(shards, workers)`` combination,
 including the in-process serial run.  Components with no cross links
-have infinite lookahead: the plan collapses to a single window and the
-engine degenerates to the plain shard map, paying ~nothing for the sync
-machinery (``benchmarks/perf_baseline.json``, ``cross_shard``).
+(the decomposed fan-in) have infinite lookahead: the plan collapses to
+a single window, one job per shard.
 
 Execution rides the supervised :class:`~repro.parallel.ParallelRunner`,
 one supervised run per window under a :class:`~repro.supervise.PoolLease`
@@ -324,10 +323,10 @@ def run_windowed(
     ``builder(index)`` constructs component ``index``; it must be
     picklable (a module-level function or :func:`functools.partial`
     over picklable arguments) since workers rebuild components from it.
-    ``shards``/``workers`` choose the partition and the pool exactly as
-    in :func:`repro.experiments.fanin.run_fanin_sharded`; ``policy`` and
-    ``tracer`` thread through the supervised runner (the tracer receives
-    one ``shard.window`` record per barrier).
+    ``shards`` sets the round-robin :class:`~repro.sim.shard.ShardPlan`
+    and ``workers`` the pool size; ``policy`` threads through the
+    supervised runner, and ``tracer`` receives one ``shard.window``
+    record per barrier.
 
     The runner's pool lease pins shard ``s`` to worker slot
     ``s mod workers`` for the whole run, so each (shard, window) job
@@ -343,7 +342,10 @@ def run_windowed(
     replies and a later run skips the windows it holds, resuming window
     by window.  The engine records them itself, not the supervisor: a
     delta job's reply depends on the worker that ran it, and a
-    :data:`COLD` reply must never be stored.
+    :data:`COLD` reply must never be stored.  Replies are keyed by the
+    scenario — ``label``, ``count``, ``plan``, the shard count and
+    ``builder``, which carries the config — so runs of different
+    configs can share one store.
     """
     from repro.parallel import ParallelRunner, _as_store, _require_all_ok
     from repro.supervise.checkpoint import job_key
@@ -355,7 +357,7 @@ def run_windowed(
     # The token namespaces worker caches per engine run; it is *not*
     # part of the checkpoint key (which must survive restarts).
     token = f"{os.getpid()}:{next(_RUN_TOKENS)}"
-    scenario = job_key((label, count, plan, splan.shards))[:16]
+    scenario = job_key((label, count, plan, splan.shards, builder))[:16]
 
     clock = [0]
     if tracer is not None:

@@ -528,6 +528,7 @@ class Supervisor:
         inflight: dict = {}
         try:
             while pending or inflight:
+                dispatched = []
                 while pending and len(inflight) < workers:
                     # A leased slot is one worker: one job in flight each.
                     busy = (
@@ -543,11 +544,18 @@ class Supervisor:
                         executor = self._new_executor(ctx, workers, slot)
                         executors[slot] = executor
                     future = executor.submit(_guarded, fn, job.payload)
-                    deadline = (
-                        time.monotonic() + policy.job_timeout_s
-                        if policy.job_timeout_s is not None else None
-                    )
-                    inflight[future] = (job, deadline, executor)
+                    inflight[future] = (job, None, executor)
+                    dispatched.append(future)
+                # Jobs dispatched together share one deadline, set once
+                # every submit returned: the first submit to a fresh pool
+                # also forks its workers, and a skew between siblings'
+                # deadlines would let a poll time out one co-hung job
+                # and requeue the other as innocent.
+                if dispatched and policy.job_timeout_s is not None:
+                    deadline = time.monotonic() + policy.job_timeout_s
+                    for future in dispatched:
+                        job, _, owner = inflight[future]
+                        inflight[future] = (job, deadline, owner)
 
                 if not inflight:
                     time.sleep(policy.poll_interval_s)

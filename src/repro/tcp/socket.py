@@ -310,11 +310,9 @@ class TcpSocket:
                         self._small_packet_end > self.snd_una
                     ),
                 ):
-                    trace = self.host.trace
-                    if trace.enabled or (
-                        (fwd := trace.forward) is not None and fwd.enabled
-                    ):
-                        trace.emit(self.name, "batching_hold", available)
+                    tracer = self.host.tracer
+                    if tracer.enabled:
+                        tracer.tcp_event(self.name, "batching_hold", available)
                     return  # held by Nagle / auto-corking / batch floor
                 chunk = available
                 self._small_packet_end = self.snd_nxt + chunk
@@ -358,11 +356,9 @@ class TcpSocket:
                 for instrument in self.instruments:
                     instrument.on_segment_sent(seq, nbytes)
         self._last_send_ns = self._sim.now
-        trace = host.trace
-        if trace.enabled or (
-            (fwd := trace.forward) is not None and fwd.enabled
-        ):
-            trace.emit(
+        tracer = host.tracer
+        if tracer.enabled:
+            tracer.tcp_event(
                 self.name, "tx",
                 {"seq": seq, "len": nbytes, "psh": segment.psh,
                  "retransmit": retransmit},
@@ -430,11 +426,9 @@ class TcpSocket:
 
     def segment_arrived(self, segment: Segment) -> None:
         """Demux entry point for one (possibly GRO-merged) segment."""
-        trace = self.host.trace
-        if trace.enabled or (
-            (fwd := trace.forward) is not None and fwd.enabled
-        ):
-            trace.emit(
+        tracer = self.host.tracer
+        if tracer.enabled:
+            tracer.tcp_event(
                 self.name, "rx",
                 {"seq": segment.seq, "len": segment.payload_len,
                  "ack": segment.ack, "wire_count": segment.wire_count},
@@ -620,7 +614,9 @@ class TcpSocket:
             return
         # Probe: an ack-only segment that elicits the peer's current
         # window, recovering from a lost window update.
-        self.host.trace.emit(self.name, "window_probe", self._persist_backoff)
+        tracer = self.host.tracer
+        if tracer.enabled:
+            tracer.tcp_event(self.name, "window_probe", self._persist_backoff)
         self.window_probes_sent += 1
         self._emit_pure_ack(window_probe=True)
         self._persist_backoff = min(self._persist_backoff * 2, 64)

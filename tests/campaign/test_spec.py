@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -177,6 +178,23 @@ class TestScenarioBuilds:
         )
         assert with_toggler is True
         assert config.clients == 2
+
+    def test_fanin_shards_auto_is_one_per_cpu(self):
+        config, with_toggler, shards = SCENARIOS["fanin"].build(
+            {"shards": "auto", "clients": 2}
+        )
+        assert shards == (os.cpu_count() or 1)
+        assert with_toggler is False
+        assert config.clients == 2
+
+    @pytest.mark.parametrize("shards", [0, -1, True, "x"])
+    def test_fanin_bad_shards_rejected(self, shards):
+        with pytest.raises(CampaignSpecError, match="positive integer"):
+            SCENARIOS["fanin"].build({"shards": shards})
+
+    def test_fanin_shards_with_toggler_rejected(self):
+        with pytest.raises(CampaignSpecError, match="incompatible"):
+            SCENARIOS["fanin"].build({"shards": 2, "with_toggler": True})
 
     def test_timevarying_phase_plan(self):
         plan, base = SCENARIOS["timevarying"].build(

@@ -48,10 +48,21 @@ class PairFactory:
         loss_rng=None,
         propagation_delay_ns: int = 5_000,
         fault_injector=None,
+        tracer=None,
     ):
-        """Create (client_host, server_host, client_sock, server_sock)."""
-        client = Host(self.sim, "client", costs=costs, nic_config=nic_config)
-        server = Host(self.sim, "server", costs=costs, nic_config=nic_config)
+        """Create (client_host, server_host, client_sock, server_sock).
+
+        ``tracer`` (a :class:`repro.obs.Tracer`) is shared by both hosts,
+        so it receives every socket's ``tcp.event`` taps.
+        """
+        client = Host(
+            self.sim, "client", costs=costs, nic_config=nic_config,
+            tracer=tracer,
+        )
+        server = Host(
+            self.sim, "server", costs=costs, nic_config=nic_config,
+            tracer=tracer,
+        )
         PointToPoint.connect(
             self.sim,
             client.nic,

@@ -7,6 +7,8 @@ check the physics and the in-process partition invariance cheaply.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.bottleneck import (
@@ -56,6 +58,36 @@ def test_sharded_is_byte_identical_in_process():
         assert run_shared_bottleneck(
             config, shards=shards
         ).to_json() == reference
+
+
+def test_shared_store_keys_engine_runs_by_config(tmp_path):
+    """Runs of different seeds share one store without reading each
+    other's replies, and a rerun is served entirely from the store."""
+    from repro.cache import ResultCache
+    from repro.experiments.fanin import FaninConfig, run_fanin_sharded
+
+    runs = [
+        (run_shared_bottleneck, small_config(measure_ns=msecs(10))),
+        (run_fanin_sharded,
+         FaninConfig(warmup_ns=msecs(10), measure_ns=msecs(20))),
+    ]
+    cache = ResultCache(tmp_path / "store")
+    first = [
+        run(config, shards=2, checkpoint=cache).to_json()
+        for run, config in runs
+    ]
+    for run, config in runs:
+        seed7 = replace(config, seed=7)
+        cached = run(seed7, shards=2, checkpoint=cache).to_json()
+        assert cached == run(seed7, shards=2).to_json(), run.__name__
+    misses = cache.misses
+    again = [
+        run(config, shards=2, checkpoint=cache).to_json()
+        for run, config in runs
+    ]
+    assert again == first
+    assert cache.misses == misses
+    cache.close()
 
 
 def test_contention_raises_latency_over_a_lone_flow():

@@ -121,43 +121,31 @@ def run_experiment(name: str):
     raise KeyError(name)
 
 
-def run_experiment_sharded(name: str, shards: int):
-    """The sharded twin of ``fanin_4c`` (the decomposed model)."""
-    from repro.experiments.fanin import run_fanin_sharded
+def run_experiment_sharded(name: str, shards: int, workers: int = 1):
+    """A shape run across ``shards`` on the windowed engine.
 
-    if name != "fanin_4c":
-        raise KeyError(f"no sharded variant for {name!r}")
-    return run_fanin_sharded(experiment_shapes()[name], shards=shards)
-
-
-def run_experiment_windowed(name: str, shards: int, workers: int = 1):
-    """Windowed-engine twins (the conservative cross-shard path).
-
-    ``bottleneck_4f`` runs natively on the engine; ``fanin_4c`` runs the
-    decomposed fan-in *through* the engine (single infinite-lookahead
-    window), which must reproduce :data:`GOLDEN_FANIN_SHARDED` exactly —
-    the sync machinery may not perturb a byte.
+    ``bottleneck_4f`` must reproduce its :data:`GOLDEN_EXPERIMENTS`
+    digest; ``fanin_4c`` runs the decomposed fan-in (per-connection
+    server replicas), a different scenario from the monolithic run,
+    pinned by :data:`GOLDEN_FANIN_SHARDED`.
     """
+    shape = experiment_shapes()[name]
+    if name == "fanin_4c":
+        from repro.experiments.fanin import run_fanin_sharded
+
+        return run_fanin_sharded(shape, shards=shards, workers=workers)
     if name == "bottleneck_4f":
         from repro.experiments.bottleneck import run_shared_bottleneck
 
-        return run_shared_bottleneck(
-            experiment_shapes()[name], shards=shards, workers=workers
-        )
-    if name == "fanin_4c":
-        from repro.experiments.fanin import run_fanin_synced
-
-        return run_fanin_synced(
-            experiment_shapes()[name], shards=shards, workers=workers
-        )
-    raise KeyError(f"no windowed variant for {name!r}")
+        return run_shared_bottleneck(shape, shards=shards, workers=workers)
+    raise KeyError(f"no sharded variant for {name!r}")
 
 
 def run_instrumented(config: BenchConfig):
-    """One run with tracer + legacy taps on; returns (result, records).
+    """One run with every tracing layer on; returns (result, records).
 
     Exercises the "instrumentation on" flavor of every guarded hot-path
-    emit site: the unified tracer, the per-host legacy taps, and deep
+    emit site: the unified tracer (the TCP taps included) and deep
     per-socket protocol hooks.
     """
     from repro.obs import Tracer, attach_deep_tracing
@@ -165,8 +153,6 @@ def run_instrumented(config: BenchConfig):
     tracer = Tracer(label="equivalence")
 
     def tweak(bed):
-        bed.client_host.trace.enabled = True
-        bed.server_host.trace.enabled = True
         attach_deep_tracing(bed, tracer)
 
     result = run_benchmark(config, tweak=tweak, tracer=tracer)

@@ -23,7 +23,6 @@ from tests.perf.golden import (
     experiment_shapes,
     run_experiment,
     run_experiment_sharded,
-    run_experiment_windowed,
     run_instrumented,
     run_plain,
 )
@@ -81,9 +80,11 @@ def test_experiment_shape_matches_golden(name):
 
 @pytest.mark.parametrize("shards", [1, 2, 4])
 def test_sharded_fanin_is_shard_count_invariant(shards):
-    """The decomposed fan-in digest is identical for every partition."""
-    result = run_experiment_sharded("fanin_4c", shards)
-    assert digest(result) == GOLDEN_FANIN_SHARDED
+    """The decomposed fan-in digest is identical for every partition,
+    in process and on a worker pool."""
+    for workers in (1, 2):
+        result = run_experiment_sharded("fanin_4c", shards, workers)
+        assert digest(result) == GOLDEN_FANIN_SHARDED, workers
     assert result.to_json()  # canonical JSON stays serializable
 
 
@@ -93,18 +94,33 @@ def test_bottleneck_is_partition_and_pool_invariant(shards, workers):
     """The windowed engine's core contract: the shared-bottleneck run is
     byte-identical for every (shards, workers) combination, including
     the in-process serial run."""
-    result = run_experiment_windowed("bottleneck_4f", shards, workers)
+    result = run_experiment_sharded("bottleneck_4f", shards, workers)
     assert digest(result) == GOLDEN_EXPERIMENTS["bottleneck_4f"]
     assert result.to_json()  # canonical JSON stays serializable
 
 
 @pytest.mark.parametrize("shards", [1, 2])
 def test_fanin_through_windowed_engine_matches_sharded_golden(shards):
-    """The decomposed fan-in run *through* the sync engine (one
-    infinite-lookahead window) reproduces the sharded golden exactly:
-    the sync machinery perturbs nothing when components never talk."""
-    result = run_experiment_windowed("fanin_4c", shards)
+    """The decomposed fan-in runs *through* the sync engine as one
+    infinite-lookahead window that exchanges nothing, and reproduces
+    the sharded golden exactly: the sync machinery perturbs nothing
+    when components never talk."""
+    from repro.experiments.fanin import run_fanin_sharded
+    from repro.obs import Tracer
+    from repro.obs.metrics import MetricsRegistry
+
+    tracer = Tracer(label="fanin")
+    metrics = MetricsRegistry()
+    result = run_fanin_sharded(
+        experiment_shapes()["fanin_4c"], shards=shards,
+        tracer=tracer, metrics=metrics,
+    )
     assert digest(result) == GOLDEN_FANIN_SHARDED
+    counters = metrics.snapshot()["counters"]
+    assert counters["sim.sync.windows"] == 1
+    assert counters["sim.sync.exchanged_events"] == 0
+    windows = [r for r in tracer.records if r["type"] == "shard.window"]
+    assert [(r["shards"], r["exchanged"]) for r in windows] == [(shards, 0)]
 
 
 def test_experiment_shapes_cover_issue_scope():

@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import signal
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import pytest
@@ -102,6 +103,35 @@ class TestTimeouts:
         )
         assert [o.ok for o in outcomes] == [True, True]
         assert [o.result for o in outcomes] == [205, 206]
+        counters = supervisor.metrics.snapshot()["counters"]
+        assert counters["supervise.timeouts"] == 2
+
+    def test_jobs_dispatched_together_share_one_deadline(
+        self, tmp_path, monkeypatch
+    ):
+        # Submits slower than a poll interval (a busy box, or the fork
+        # inside a fresh pool's first submit) must not skew sibling
+        # deadlines: a poll between them would time out the first hung
+        # job and requeue the second, hung as well, as innocent.
+        class SlowSubmitPool(ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                future = super().submit(*args, **kwargs)
+                time.sleep(0.1)
+                return future
+
+        monkeypatch.setattr(
+            "repro.supervise.supervisor.ProcessPoolExecutor", SlowSubmitPool
+        )
+        policy = SupervisePolicy(
+            job_timeout_s=0.5, poll_interval_s=0.02,
+            backoff_base_s=0.0, backoff_max_s=0.0,
+        )
+        supervisor = Supervisor(workers=2, policy=policy)
+        outcomes = supervisor.run(
+            _hang_once, [(tmp_path / "m0", 5), (tmp_path / "m1", 6)]
+        )
+        assert [o.result for o in outcomes] == [205, 206]
+        assert [o.attempts for o in outcomes] == [2, 2]
         counters = supervisor.metrics.snapshot()["counters"]
         assert counters["supervise.timeouts"] == 2
 

@@ -125,6 +125,26 @@ class TestCommands:
         assert "latency mean/p50/p99" in out
         assert "hint estimate" in out
 
+    def test_fanin_shards_on_a_pool_write_the_serial_bytes(
+        self, tmp_path, capsys
+    ):
+        from repro.obs import read_jsonl
+
+        pooled, serial = tmp_path / "pooled.json", tmp_path / "serial.json"
+        trace = tmp_path / "fanin.jsonl"
+        common = ["fanin", "--clients", "2", "--warmup-ms", "10",
+                  "--measure-ms", "20"]
+        assert main(common + [
+            "--shards", "2", "--workers", "2", "--json", str(pooled),
+            "--trace", str(trace),
+        ]) == 0
+        assert main(common + ["--shards", "1", "--json", str(serial)]) == 0
+        assert pooled.read_bytes() == serial.read_bytes()
+        assert main(["trace", "validate", str(trace)]) == 0
+        # Infinite lookahead: the engine crosses one barrier.
+        windows = [r for r in read_jsonl(trace) if r["type"] == "shard.window"]
+        assert [r["shards"] for r in windows] == [2]
+
     def test_run_with_nagle_and_mix(self, capsys):
         code = main([
             "run", "--rate", "8000", "--nagle", "--set-ratio", "0.9",
