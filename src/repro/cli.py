@@ -447,6 +447,18 @@ def _cmd_faults(args) -> int:
 def _cmd_ablation(args) -> int:
     from repro.experiments import ablations
 
+    supervised = ("toggler", "variants")
+    if args.which not in supervised and (args.workers != 1 or any(
+        getattr(args, flag) is not None
+        for flag in ("resume", "cache_dir", "retries", "job_timeout")
+    )):
+        print(
+            f"error: repro ablation {args.which} runs in-process; "
+            f"--workers, --resume, --cache-dir, --retries and "
+            f"--job-timeout apply only to {' and '.join(supervised)}",
+            file=sys.stderr,
+        )
+        return 2
     measure = msecs(args.measure_ms)
     policy, checkpoint = _supervise_from(args)
     if args.which == "units":
@@ -1164,10 +1176,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bottleneck.add_argument("--warmup-ms", type=int, default=40)
     p_bottleneck.add_argument(
         "--shards", type=_shards_arg, default=1, metavar="K",
-        help="partition the flows + fabric components into K shards "
-             "advancing in lock-stepped lookahead windows; output is "
-             "byte-identical for every K (including K=1). 'auto' uses "
-             "one shard per CPU",
+        help="shards for the windowed engine ('auto' = one per CPU). The "
+             "flows and the fabric exchange packets every lookahead "
+             "window, so this coupled run executes as one job in this "
+             "process for every K, with byte-identical output",
     )
     p_bottleneck.add_argument("--json", default=None, metavar="PATH",
                               help="write the result as canonical "
@@ -1177,7 +1189,12 @@ def build_parser() -> argparse.ArgumentParser:
                               help="record shard.window barrier records "
                                    "as repro-trace-v1 JSONL")
     _add_measure(p_bottleneck, 150)
-    _add_workers(p_bottleneck)
+    p_bottleneck.add_argument(
+        "--workers", type=int, default=1,
+        help="worker processes for the windowed engine (default 1, 0 = "
+             "one per CPU); this coupled run executes as one job in "
+             "this process for every count, with byte-identical output",
+    )
     _add_supervise(p_bottleneck)
     p_bottleneck.set_defaults(func=_cmd_bottleneck)
 

@@ -366,13 +366,15 @@ def run_shared_bottleneck(
 ) -> BottleneckResult:
     """Run the shared-bottleneck scenario through the windowed engine.
 
-    ``shards``/``workers`` choose the partition and pool; ``policy``,
-    ``checkpoint`` and ``tracer`` thread through the supervised runner
-    exactly as for :func:`~repro.experiments.fanin.run_fanin_sharded`
-    (a checkpointed run resumes window by window).  Output is
-    byte-identical for every ``(shards, workers)`` combination — the
-    contract CI enforces by diffing ``--shards 2 --workers 2`` against
-    the serial run.
+    The flows exchange packets every window, so the engine runs them as
+    one supervised job in this process whatever ``shards`` and
+    ``workers`` say.  ``policy``, ``checkpoint`` and ``tracer`` thread
+    through the engine exactly as for
+    :func:`~repro.experiments.fanin.run_fanin_sharded` (a checkpointed
+    run is stored whole, so an interrupted one reruns from the start).
+    Output is byte-identical for every ``(shards, workers)`` combination
+    — the contract CI enforces by diffing ``--shards 2 --workers 2``
+    against the serial run.
     """
     from repro.sim.shard import merge_digest, merge_streams
 

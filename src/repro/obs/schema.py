@@ -179,13 +179,16 @@ RECORD_TYPES: dict[str, dict] = {
     },
     "shard.window": {
         "doc": (
-            "The windowed cross-shard engine crossed one lock-step "
+            "The windowed engine crossed one lock-step "
             "barrier (see docs/PERFORMANCE.md, 'Intra-run sharding')."
         ),
         "fields": {
             "window": (int, "window index (1-based)"),
             "end_ns": (int, "simulated time the window closed at"),
-            "shards": (int, "shards advancing in lock-step"),
+            "shards": (
+                int,
+                "jobs the run executed as (1 for a coupled run)",
+            ),
             "exchanged": (
                 int,
                 "cross-component messages collected at this barrier",

@@ -12,7 +12,10 @@ order is deterministic regardless of which worker finishes first.
 
 Execution is *supervised* (see :mod:`repro.supervise`): a crashed
 worker, a hung job, or a raising config no longer sinks the campaign.
-Each entry point comes in two flavors:
+Each campaign gets its own pool, torn down when it ends, and a campaign
+of one job runs in the calling process whatever ``workers`` says — the
+windowed engine (:mod:`repro.sim.sync`) submits each coupled run as
+one such job.  Each entry point comes in two flavors:
 
 - ``*_outcomes`` returns an index-aligned list of typed
   :class:`~repro.supervise.outcome.JobOutcome` records — never ``None``
@@ -56,7 +59,6 @@ from repro.errors import CampaignError, WorkloadError
 from repro.supervise import (
     CheckpointStore,
     JobOutcome,
-    PoolLease,
     SupervisePolicy,
     Supervisor,
     Watchdog,
@@ -203,7 +205,6 @@ class ParallelRunner:
 
     def _supervisor(
         self, n: int, checkpoint, tracer, diagnosis=None, remedy=None,
-        session: PoolLease | None = None,
     ) -> Supervisor:
         supervisor = Supervisor(
             workers=min(self.workers, n),
@@ -213,23 +214,9 @@ class ParallelRunner:
             tracer=tracer,
             diagnosis=diagnosis,
             remedy=remedy,
-            pool=session,
         )
         self.last_metrics = supervisor.metrics
         return supervisor
-
-    def session(self) -> PoolLease:
-        """A :class:`~repro.supervise.PoolLease` for lock-step protocols.
-
-        Pass the lease as ``session=`` to consecutive
-        :meth:`map_outcomes` calls to keep their workers (and the warm
-        per-process state they hold) across them: item ``i`` of every
-        call runs in the same worker process, slot ``i mod workers``.
-        ``close()`` it afterwards — or use it as a context manager.
-        Supervision semantics are unchanged: a crashed or hung worker's
-        slot is discarded and rebuilt, and the other slots keep theirs.
-        """
-        return PoolLease()
 
     # ------------------------------------------------------------------
     # Benchmark campaigns.
@@ -360,7 +347,6 @@ class ParallelRunner:
         tracer=None,
         diagnosis=None,
         remedy=None,
-        session: PoolLease | None = None,
     ) -> list[JobOutcome]:
         """Supervised :meth:`map`: typed outcomes instead of raising.
 
@@ -371,9 +357,6 @@ class ParallelRunner:
         ``log.message`` boundary record before each fresh job, exactly
         like :meth:`run_many_outcomes`; ``diagnosis`` (requires a
         tracer) scores each job's segment exactly as there.
-        ``session`` (see :meth:`session`) keeps the workers across
-        consecutive calls, item ``i`` always on the same one, instead of
-        building a fresh pool per call.
         """
         n = len(items)
         _check_diagnosis(diagnosis, tracer)
@@ -407,9 +390,7 @@ class ParallelRunner:
             )
             supervisor = self._supervisor(1, checkpoint, None, remedy=remedy)
         else:
-            supervisor = self._supervisor(
-                n, checkpoint, None, remedy=remedy, session=session
-            )
+            supervisor = self._supervisor(n, checkpoint, None, remedy=remedy)
         return supervisor.run(_apply, payloads, keys=keys, labels=labels)
 
     def map(self, fn: Callable[..., _R], items: Sequence) -> list[_R]:
@@ -442,23 +423,3 @@ def run_campaign(
         remedy=remedy,
     )
 
-
-def run_campaign_outcomes(
-    configs: Sequence[BenchConfig],
-    tweak: Callable | None = None,
-    workers: int = 1,
-    start_method: str | None = None,
-    tracer=None,
-    policy: SupervisePolicy | None = None,
-    checkpoint=None,
-    watchdog: Watchdog | None = None,
-    diagnosis=None,
-    remedy=None,
-) -> list[JobOutcome]:
-    """Salvage-friendly :func:`run_campaign`: typed outcomes, no raise."""
-    runner = ParallelRunner(workers, start_method=start_method, policy=policy)
-    return runner.run_many_outcomes(
-        configs, tweak=tweak, tracer=tracer,
-        checkpoint=checkpoint, watchdog=watchdog, diagnosis=diagnosis,
-        remedy=remedy,
-    )

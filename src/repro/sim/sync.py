@@ -1,4 +1,4 @@
-"""Conservative cross-shard simulation: lock-stepped time windows.
+"""Conservative cross-component simulation: lock-stepped time windows.
 
 This is the one engine that runs a scenario across shards.  It builds on
 the partition and merge primitives of :mod:`repro.sim.shard` and keeps
@@ -14,49 +14,45 @@ classic conservative parallel-DES recipe:
    bound for other components into its typed :class:`Mailbox` — a
    posted message's arrival time is always *beyond* the window end, so
    nothing inside a window can be affected by a message generated in it.
-3. At the window barrier, the coordinator collects every mailbox,
-   orders the messages by the partition-free key ``(arrival timestamp,
-   source component, per-source sequence)``, and routes each to its
-   destination shard's inbox for the window it falls in.
+3. At the window barrier, the exchange collects every mailbox and
+   delivers each message before the window its arrival falls in, in the
+   partition-free order ``(arrival timestamp, source component,
+   per-source sequence)``.
 
 The determinism contract extension
 ----------------------------------
 
 The window schedule is a function of ``(horizon, lookahead)`` only —
 never of the partition — and **every** inter-component message goes
-through the exchange, co-located or not.  Each component therefore sees
-the identical inbox in the identical order whether it shares a shard
-(or a process) with its peers or not, so the run's output — and the
-``sim.sync.windows`` / ``sim.sync.exchanged_events`` counts themselves
-— are byte-identical for every ``(shards, workers)`` combination,
-including the in-process serial run.  Components with no cross links
-(the decomposed fan-in) have infinite lookahead: the plan collapses to
-a single window, one job per shard.
+through the exchange.  Each component therefore sees the identical
+inbox in the identical order however the run is placed, so the run's
+output — and the ``sim.sync.windows`` / ``sim.sync.exchanged_events``
+counts themselves — are byte-identical for every ``(shards, workers)``
+combination, including the in-process serial run.
 
-Execution rides the supervised :class:`~repro.parallel.ParallelRunner`,
-one supervised run per window under a :class:`~repro.supervise.PoolLease`
-that pins shard ``s`` to worker slot ``s mod workers`` for the whole
-run.  Each ``(shard, window)`` job therefore ships only that window's
-inbox plus the rolling digest of the shard's earlier inboxes, and the
-worker advances the components it kept warm in a module-level cache —
-every window is incremental.  A worker whose cache disagrees with the
-digest (a fresh slot after a crash, or the first live window after a
-checkpoint resume) answers :data:`COLD` without simulating, and the
-coordinator re-sends that shard with its full history, from which the
-worker rebuilds it (:func:`_replay`): the one recovery path, so
-retries, crashes, checkpoints and resume still compose with
-byte-identical output.
+Execution
+---------
+
+The plan decides where a run executes.  Components with no cross links
+(the decomposed fan-in) have infinite lookahead: the plan collapses to a
+single window, nothing one component emits can reach another before the
+horizon, and the components split into ``shards`` supervised jobs on a
+pool of ``workers`` processes.  With a finite lookahead (the shared
+bottleneck) the components are coupled at every barrier, and they run as
+one supervised job in the calling process, stepping the same windows
+and the same exchange locally.  A coupled run spread over processes
+would pay a coordinator round trip per window, and on two cores no flow
+count or lookahead measured made that beat the serial run
+(docs/PERFORMANCE.md, "Intra-run sharding"); independent runs are where
+the cores pay.  Jobs are pure, so retries, crashes, checkpoints and
+resume compose with byte-identical output.
 """
 
 from __future__ import annotations
 
-import hashlib
-import itertools
-import os
-from contextlib import ExitStack
+import heapq
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.errors import WorkloadError
 from repro.sim.shard import ShardPlan
@@ -109,9 +105,10 @@ class SyncComponent:
     """One cut piece of a scenario, owning its own sub-simulation.
 
     Subclasses set :attr:`index` (the global component index) and
-    implement the window protocol; instances are built *inside* the
-    worker by the picklable builder handed to :func:`run_windowed`, so
-    they never cross a process boundary themselves.
+    implement the window protocol; instances are built *inside* the job
+    that runs them, by the picklable builder handed to
+    :func:`run_windowed`, so they never cross a process boundary
+    themselves.
     """
 
     index: int
@@ -176,134 +173,62 @@ class SyncRunResult:
 
     results: list            # component finish() payloads, index order
     windows: int             # lock-step windows executed
-    exchanged_events: int    # messages through the cross-shard exchange
+    exchanged_events: int    # messages through the exchange
     events_executed: int     # kernel events across all sub-simulations
 
 
 # ----------------------------------------------------------------------
-# Worker side: advance one shard by one window.
+# The job: a group of components through every window.
 # ----------------------------------------------------------------------
 
-class _ShardState:
-    """A worker process's warm copy of one shard's components."""
+def _run_group(builder, indices, count, ends):
+    """One supervised job: run components ``indices`` through ``ends``.
 
-    __slots__ = ("components", "windows_done", "chain", "dirty")
+    At each barrier the messages due by the window end are delivered in
+    exchange order ``(arrival, src, sequence)``, then every component
+    advances and its outbox joins the exchange.  Returns ``(counts,
+    results, events)``: the messages emitted in each window, each
+    component's ``(index, finish())`` and the kernel events executed.
 
-    def __init__(self, components):
-        self.components = components
-        self.windows_done = 0
-        self.chain = _CHAIN_SEED
-        self.dirty = False
-
-
-_CHAIN_SEED = "sync-v1"
-#: (run token, component indices) -> warm state.  One entry per shard of
-#: the *current* run; other runs' entries are evicted on first touch.
-_STATE: dict[tuple, _ShardState] = {}
-
-
-def _chain_digest(chain: str, deliveries: Sequence[SyncMessage]) -> str:
-    """Extend the rolling history digest by one window's inbox.
-
-    The digest covers each delivery's ``(arrival, src, dst, sequence)``
-    key — in a deterministic engine the key identifies the payload, so
-    matching chains mean the worker's warm state was built from exactly
-    the deliveries this payload prescribes.
+    A group that is not the whole scenario only ever runs a one-window
+    plan, where every message arrives beyond the horizon and is dropped
+    here exactly as the serial run (``run(until=horizon)``) would drop
+    it, so no message ever needs another group's components.
     """
-    hasher = hashlib.sha256(chain.encode())
-    for message in deliveries:
-        hasher.update(
-            b"%d:%d:%d:%d;" % (
-                message.arrival_ns, message.src,
-                message.dst, message.sequence,
-            )
-        )
-    return hasher.hexdigest()
-
-
-def _replay(builder, indices, ends, history, upto) -> _ShardState:
-    """Rebuild a shard from scratch through windows ``0..upto-1``."""
-    state = _ShardState([builder(index) for index in indices])
-    by_index = {c.index: c for c in state.components}
-    for window in range(upto):
-        for message in history[window]:
+    components = [builder(index) for index in indices]
+    by_index = {component.index: component for component in components}
+    pending: list[tuple[tuple[int, int, int], SyncMessage]] = []
+    counts = []
+    for end in ends:
+        while pending and pending[0][0][0] <= end:
+            _, message = heapq.heappop(pending)
             by_index[message.dst].deliver(message)
-        for component in state.components:
-            component.advance(ends[window])
-        state.chain = _chain_digest(state.chain, history[window])
-        state.windows_done = window + 1
-    return state
-
-
-#: A delta job's answer when its process holds no state for the shard
-#: through the previous window: nothing was simulated, and the
-#: coordinator re-sends the shard with its full history.
-COLD = "cold"
-
-
-def _advance_shard(token, builder, indices, ends, upto, chain, inbox, history):
-    """Worker entry point: one (shard, window) supervised job.
-
-    ``inbox`` is the shard's exchange-ordered inbox for window ``upto``
-    and ``chain`` the digest of its inboxes for windows ``0..upto-1``.
-    A *delta* job (``history=None``) advances the warm state this
-    process kept from the shard's previous window — the pool lease pins
-    a shard's jobs to one worker — and answers :data:`COLD` without
-    simulating when that state is missing, dirty or disagrees with
-    ``chain`` (a fresh worker after a crash, or the first live window
-    after a checkpoint resume).  A *full* job also carries ``history``,
-    the inboxes of windows ``0..upto-1``, and rebuilds the shard through
-    :func:`_replay` whenever its state is not warm, so it always
-    advances: the one recovery path.
-    """
-    key = (token, indices)
-    state = _STATE.get(key)
-    if (
-        state is None or state.dirty
-        or state.windows_done != upto or state.chain != chain
-    ):
-        if history is None:
-            return COLD
-        for stale in [k for k in _STATE if k[0] != token]:
-            del _STATE[stale]
-        state = _replay(builder, indices, ends, history, upto)
-        _STATE[key] = state
-
-    by_index = {c.index: c for c in state.components}
-    end = ends[upto]
-    # Anything that raises past this point leaves half-advanced
-    # simulators behind; the dirty flag makes the next job replay.
-    state.dirty = True
-    for message in inbox:
-        by_index[message.dst].deliver(message)
-    outbox: list[SyncMessage] = []
-    for component in state.components:
-        outbox.extend(component.advance(end))
-    state.windows_done = upto + 1
-    state.chain = _chain_digest(state.chain, inbox)
-    state.dirty = False
-
-    for message in outbox:
-        if message.arrival_ns <= end:
-            raise WorkloadError(
-                f"lookahead violation: component {message.src} emitted a "
-                f"message arriving at {message.arrival_ns} inside the "
-                f"window ending at {end}"
-            )
-    if upto == len(ends) - 1:
-        events = sum(c.events_executed() for c in state.components)
-        results = tuple((c.index, c.finish()) for c in state.components)
-        del _STATE[key]
-        return (tuple(outbox), results, events)
-    return (tuple(outbox), None, 0)
+        emitted = 0
+        for component in components:
+            for message in component.advance(end):
+                if message.arrival_ns <= end:
+                    raise WorkloadError(
+                        f"lookahead violation: component {message.src} "
+                        f"emitted a message arriving at "
+                        f"{message.arrival_ns} inside the window ending "
+                        f"at {end}"
+                    )
+                if not 0 <= message.dst < count:
+                    raise WorkloadError(
+                        f"message addressed to unknown component "
+                        f"{message.dst}"
+                    )
+                heapq.heappush(pending, (message.key, message))
+                emitted += 1
+        counts.append(emitted)
+    events = sum(component.events_executed() for component in components)
+    results = tuple((c.index, c.finish()) for c in components)
+    return tuple(counts), results, events
 
 
 # ----------------------------------------------------------------------
 # Coordinator side.
 # ----------------------------------------------------------------------
-
-_RUN_TOKENS = itertools.count(1)
-
 
 def run_windowed(
     builder: Callable[[int], SyncComponent],
@@ -322,153 +247,75 @@ def run_windowed(
 
     ``builder(index)`` constructs component ``index``; it must be
     picklable (a module-level function or :func:`functools.partial`
-    over picklable arguments) since workers rebuild components from it.
-    ``shards`` sets the round-robin :class:`~repro.sim.shard.ShardPlan`
-    and ``workers`` the pool size; ``policy`` threads through the
-    supervised runner, and ``tracer`` receives one ``shard.window``
-    record per barrier.
+    over picklable arguments), since pooled jobs rebuild components from
+    it and the checkpoint key digests it.
 
-    The runner's pool lease pins shard ``s`` to worker slot
-    ``s mod workers`` for the whole run, so each (shard, window) job
-    ships only that window's inbox and the worker advances the state it
-    kept warm.  A job answering :data:`COLD` is re-sent with the shard's
-    full history in a second round; ``metrics`` (a
-    :class:`~repro.obs.metrics.MetricsRegistry`) counts those re-sends
-    as ``sim.sync.replays`` beside the ``sim.sync.windows`` /
-    ``sim.sync.exchanged_events`` counters.  Replays depend on
-    placement, so they never enter :class:`SyncRunResult`.
+    A one-window plan (infinite lookahead) splits the components into
+    the ``shards`` groups of a round-robin
+    :class:`~repro.sim.shard.ShardPlan`, one supervised job each on a
+    pool of ``workers`` processes.  Any longer plan couples the
+    components, so they run as one supervised job in this process
+    whatever ``shards`` and ``workers`` say.  ``policy`` threads through
+    the supervised runner.
 
-    ``checkpoint`` (a store or directory) records every window's
-    replies and a later run skips the windows it holds, resuming window
-    by window.  The engine records them itself, not the supervisor: a
-    delta job's reply depends on the worker that ran it, and a
-    :data:`COLD` reply must never be stored.  Replies are keyed by the
-    scenario — ``label``, ``count``, ``plan``, the shard count and
-    ``builder``, which carries the config — so runs of different
-    configs can share one store.
+    ``checkpoint`` (a store or directory) records each job's reply, and
+    a later run skips the jobs it holds.  Jobs are keyed whole by
+    ``label``, ``count``, ``plan``, ``builder`` (which carries the
+    config) and the job's components, so runs of different configs can
+    share one store.
+
+    Every job returns its per-window message counts, from which
+    ``tracer`` receives one ``shard.window`` record per barrier and
+    ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) the
+    ``sim.sync.windows`` / ``sim.sync.exchanged_events`` counters, the
+    same whether a job ran or came from the store.
     """
     from repro.parallel import ParallelRunner, _as_store, _require_all_ok
     from repro.supervise.checkpoint import job_key
 
     splan = ShardPlan.round_robin(count, shards)
     ends = plan.window_ends()
+    # Only in a one-window plan does nothing a component emits reach
+    # another before the horizon, so only then can the groups run apart.
+    groups = (
+        splan.assignments if len(ends) == 1 else (tuple(range(count)),)
+    )
     runner = ParallelRunner(workers, start_method=start_method, policy=policy)
     store = _as_store(checkpoint)
-    # The token namespaces worker caches per engine run; it is *not*
-    # part of the checkpoint key (which must survive restarts).
-    token = f"{os.getpid()}:{next(_RUN_TOKENS)}"
-    scenario = job_key((label, count, plan, splan.shards, builder))[:16]
-
-    clock = [0]
-    if tracer is not None:
-        tracer.bind_clock(lambda: clock[0])
-    if metrics is not None:
-        metrics.counter("sim.sync.replays")  # present, and 0, when healthy
-
-    histories: list[list[tuple[SyncMessage, ...]]] = [
-        [] for _ in range(splan.shards)
-    ]
-    chains = [_CHAIN_SEED] * splan.shards
-    pending: list[list[SyncMessage]] = [[] for _ in range(splan.shards)]
-    finals: dict[int, object] = {}
-    exchanged = 0
-    events_executed = 0
-
-    with ExitStack() as cleanup:
-        session = cleanup.enter_context(runner.session())
+    try:
+        replies = _require_all_ok(runner.map_outcomes(
+            _run_group,
+            [(builder, group, count, ends) for group in groups],
+            checkpoint=store,
+            labels=[
+                f"{label} shard {shard + 1}/{len(groups)}"
+                for shard in range(len(groups))
+            ],
+            keys=[
+                "sync-" + job_key((label, count, plan, builder, group))
+                for group in groups
+            ],
+        ))
+    finally:
         if store is not checkpoint:  # opened here from a directory
-            cleanup.callback(store.close)
-        for window, end in enumerate(ends):
-            payloads, keys = [], []
-            for shard in range(splan.shards):
-                due = tuple(sorted(
-                    (m for m in pending[shard] if m.arrival_ns <= end),
-                    key=lambda m: m.key,
-                ))
-                pending[shard] = [
-                    m for m in pending[shard] if m.arrival_ns > end
-                ]
-                # Window 0 has no history, so its jobs are full ones.
-                payloads.append((
-                    token, builder, splan.assignments[shard], ends,
-                    window, chains[shard], due, () if window == 0 else None,
-                ))
-                histories[shard].append(due)
-                chains[shard] = _chain_digest(chains[shard], due)
-                keys.append(
-                    f"sync-{scenario}-s{shard}-w{window}-{chains[shard][:16]}"
-                )
-            labels = [
-                f"{label} window {window + 1}/{len(ends)} "
-                f"shard {shard + 1}/{splan.shards}"
-                for shard in range(splan.shards)
-            ]
-            stored = [
-                store.get(key) if store is not None else None for key in keys
-            ]
-            if all(entry is not None for entry in stored):
-                returns = [result for result, _ in stored]
-            else:
-                advance = partial(
-                    runner.map_outcomes, _advance_shard,
-                    labels=labels, keys=keys, session=session,
-                )
-                returns = _require_all_ok(advance(payloads))
-                cold = [s for s, reply in enumerate(returns) if reply == COLD]
-                if cold:
-                    # The re-send keeps every shard at its job index, so
-                    # each lands on its own slot and warms it again; the
-                    # warm shards' repeated deltas just answer COLD.
-                    for shard in cold:
-                        payloads[shard] = payloads[shard][:-1] + (
-                            tuple(histories[shard][:-1]),
-                        )
-                    resent = _require_all_ok(advance(payloads))
-                    for shard in cold:
-                        returns[shard] = resent[shard]
-                    if metrics is not None:
-                        metrics.counter("sim.sync.replays").inc(len(cold))
-                if store is not None:
-                    for key, entry, reply, name in zip(
-                        keys, stored, returns, labels
-                    ):
-                        if entry is None:
-                            store.record_success(key, reply, label=name)
-            emitted: list[SyncMessage] = []
-            for outbox, results, events in returns:
-                emitted.extend(outbox)
-                if results is not None:
-                    finals.update(results)
-                    events_executed += events
-            for message in sorted(emitted, key=lambda m: m.key):
-                if message.arrival_ns <= end:
-                    raise WorkloadError(
-                        f"lookahead violation at the exchange: "
-                        f"{message.arrival_ns} <= window end {end}"
-                    )
-                if not 0 <= message.dst < count:
-                    raise WorkloadError(
-                        f"message addressed to unknown component "
-                        f"{message.dst}"
-                    )
-                pending[splan.shard_of(message.dst)].append(message)
-            exchanged += len(emitted)
+            store.close()
+
+    finals: dict[int, object] = {}
+    for _, results, _ in replies:
+        finals.update(results)
+    per_window = [sum(column) for column in zip(*(c for c, _, _ in replies))]
+    if metrics is not None:
+        metrics.counter("sim.sync.windows").inc(len(ends))
+        metrics.counter("sim.sync.exchanged_events").inc(sum(per_window))
+    if tracer is not None:
+        clock = [0]
+        tracer.bind_clock(lambda: clock[0])
+        for window, (end, exchanged) in enumerate(zip(ends, per_window)):
             clock[0] = end
-            if metrics is not None:
-                metrics.counter("sim.sync.windows").inc()
-                metrics.counter("sim.sync.exchanged_events").inc(
-                    len(emitted)
-                )
-            if tracer is not None and tracer.enabled:
-                tracer.shard_window(
-                    window + 1, end, splan.shards, len(emitted)
-                )
-    # Messages still pending here would arrive beyond the horizon; the
-    # serial run would not execute them either (run(until=horizon)), so
-    # they are dropped symmetrically.
+            tracer.shard_window(window + 1, end, len(groups), exchanged)
     return SyncRunResult(
         results=[finals[index] for index in range(count)],
         windows=len(ends),
-        exchanged_events=exchanged,
-        events_executed=events_executed,
+        exchanged_events=sum(per_window),
+        events_executed=sum(events for _, _, events in replies),
     )

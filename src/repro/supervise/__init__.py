@@ -39,7 +39,7 @@ from repro.supervise.outcome import (
     split_outcomes,
 )
 from repro.supervise.policy import SupervisePolicy
-from repro.supervise.supervisor import PoolLease, Supervisor
+from repro.supervise.supervisor import Supervisor
 from repro.supervise.watchdog import Watchdog
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "JobOutcome",
     "JobSuccess",
     "split_outcomes",
-    "PoolLease",
     "SupervisePolicy",
     "Supervisor",
     "Watchdog",

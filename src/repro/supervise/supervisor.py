@@ -38,10 +38,7 @@ The executor is :class:`concurrent.futures.ProcessPoolExecutor`: a dead
 worker surfaces promptly as a broken pool (no timeout wait), and the
 pool is rebuilt fresh for the survivors.  Hung workers have no such
 signal — they are caught by the per-job wall-clock deadline and removed
-by killing the pool's processes outright.  Under a :class:`PoolLease`
-each worker is its own one-process pool (a *slot*), job ``i`` is pinned
-to slot ``i mod workers``, and a crash or hang retires only the slot it
-happened in.
+by killing the pool's processes outright.
 """
 
 from __future__ import annotations
@@ -88,65 +85,6 @@ def _guarded(fn: Callable, payload):
             traceback.format_exc(),
             isinstance(exc, WatchdogError),
         )
-
-
-class PoolLease:
-    """Pinned worker slots shared by consecutive supervised runs.
-
-    A :class:`Supervisor` normally builds a fresh
-    :class:`~concurrent.futures.ProcessPoolExecutor` per :meth:`run`
-    and tears it down on exit.  That is correct but wasteful for
-    lock-stepped protocols (the windowed cross-shard engine issues one
-    supervised run *per window*) where worker processes also hold warm
-    module-level state.  A lease keeps one single-process executor per
-    *slot* alive across runs, and a leased supervisor sends job ``i`` of
-    every run to slot ``i mod workers`` — so job ``i`` of consecutive
-    runs always executes in the same worker process:
-
-    - :meth:`executor` hands a slot's pool to a supervisor, creating it
-      on demand (slots are added as runs need them, never dropped);
-    - :meth:`discard` kills one slot's pool outright — the supervisor
-      calls this when that slot crashes or hangs, so a poisoned worker
-      is never reused while the other slots keep theirs;
-    - :meth:`close` shuts every slot down at end of session.
-
-    Correctness never depends on the lease: a discarded slot only costs
-    warm state, not result bytes (a windowed-engine job that finds its
-    state gone answers *cold* and is re-sent with its full history; see
-    :mod:`repro.sim.sync`).
-    """
-
-    def __init__(self):
-        self._slots: dict[int, ProcessPoolExecutor] = {}
-
-    def executor(self, ctx, slot: int) -> ProcessPoolExecutor:
-        """Slot ``slot``'s one-worker pool, built on demand."""
-        executor = self._slots.get(slot)
-        if executor is None:
-            executor = ProcessPoolExecutor(max_workers=1, mp_context=ctx)
-            self._slots[slot] = executor
-        return executor
-
-    def owns(self, executor) -> bool:
-        return any(executor is live for live in self._slots.values())
-
-    def discard(self, executor) -> None:
-        """Kill one slot's pool now (a hung or crashed worker included)."""
-        for slot, live in list(self._slots.items()):
-            if live is executor:
-                del self._slots[slot]
-                Supervisor._kill_executor(live)
-
-    def close(self) -> None:
-        for executor in self._slots.values():
-            executor.shutdown(wait=False, cancel_futures=True)
-        self._slots.clear()
-
-    def __enter__(self) -> "PoolLease":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 class _Job:
@@ -208,11 +146,9 @@ class Supervisor:
         log=None,
         diagnosis=None,
         remedy=None,
-        pool: "PoolLease | None" = None,
     ):
         self.workers = max(1, workers)
         self.start_method = start_method
-        self.pool = pool
         self.policy = policy if policy is not None else SupervisePolicy()
         self.policy.validate()
         self.checkpoint = checkpoint
@@ -479,23 +415,6 @@ class Supervisor:
     # Pooled execution (workers > 1).
     # ------------------------------------------------------------------
 
-    def _slot(self, job: _Job) -> int:
-        """A leased run pins job ``i`` to slot ``i mod workers``; an
-        unleased run shares one pool, slot 0."""
-        return job.index % self.workers if self.pool is not None else 0
-
-    def _new_executor(self, ctx, workers: int, slot: int):
-        if self.pool is not None:
-            return self.pool.executor(ctx, slot)
-        return ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
-
-    def _discard_executor(self, executor: ProcessPoolExecutor) -> None:
-        """Retire a broken/hung pool, through the lease when it owns it."""
-        if self.pool is not None and self.pool.owns(executor):
-            self.pool.discard(executor)
-        else:
-            self._kill_executor(executor)
-
     @staticmethod
     def _kill_executor(executor: ProcessPoolExecutor) -> None:
         """Tear a pool down *now*, including hung workers."""
@@ -507,13 +426,12 @@ class Supervisor:
                 pass
         executor.shutdown(wait=False, cancel_futures=True)
 
-    def _pop_eligible(self, pending: deque, busy=()) -> _Job | None:
-        """The first job whose backoff embargo has expired and whose
-        slot is not in ``busy``."""
+    def _pop_eligible(self, pending: deque) -> _Job | None:
+        """The first job whose backoff embargo has expired."""
         now = time.monotonic()
         for _ in range(len(pending)):
             job = pending.popleft()
-            if job.not_before <= now and self._slot(job) not in busy:
+            if job.not_before <= now:
                 return job
             pending.append(job)
         return None
@@ -523,26 +441,20 @@ class Supervisor:
         workers = min(self.workers, len(jobs))
         ctx = multiprocessing.get_context(self.start_method)
         pending: deque[_Job] = deque(jobs)
-        executors: dict = {}  # slot -> its live pool, built on demand
+        executor = None  # built on demand, replaced when it dies or hangs
         # future -> (job, wall-clock deadline or None, owning executor)
         inflight: dict = {}
         try:
             while pending or inflight:
                 dispatched = []
                 while pending and len(inflight) < workers:
-                    # A leased slot is one worker: one job in flight each.
-                    busy = (
-                        {self._slot(job) for job, _, _ in inflight.values()}
-                        if self.pool is not None else ()
-                    )
-                    job = self._pop_eligible(pending, busy)
+                    job = self._pop_eligible(pending)
                     if job is None:
                         break
-                    slot = self._slot(job)
-                    executor = executors.get(slot)
                     if executor is None:
-                        executor = self._new_executor(ctx, workers, slot)
-                        executors[slot] = executor
+                        executor = ProcessPoolExecutor(
+                            max_workers=workers, mp_context=ctx
+                        )
                     future = executor.submit(_guarded, fn, job.payload)
                     inflight[future] = (job, None, executor)
                     dispatched.append(future)
@@ -567,7 +479,7 @@ class Supervisor:
                     return_when=FIRST_COMPLETED,
                 )
 
-                broken = set()
+                broken = False
                 for future in done:
                     job, _, owner = inflight.pop(future)
                     try:
@@ -577,8 +489,8 @@ class Supervisor:
                         # from an already-replaced pool don't force
                         # another rebuild.
                         self._crashed(outcomes, pending, job)
-                        if owner in executors.values():
-                            broken.add(owner)
+                        if owner is executor:
+                            broken = True
                         continue
                     if envelope[0] == "ok":
                         self._complete(outcomes, job, envelope[1])
@@ -590,13 +502,12 @@ class Supervisor:
                         )
 
                 if broken:
-                    self.metrics.counter("supervise.pool_restarts").inc(
-                        len(broken)
-                    )
+                    self.metrics.counter("supervise.pool_restarts").inc()
                     self.log.info(
                         "worker pool died; restarting on a fresh pool"
                     )
-                    self._retire(executors, broken)
+                    self._kill_executor(executor)
+                    executor = None
 
                 # Hung-worker detection: any in-flight job past its
                 # deadline takes a timeout strike; the pool that ran it
@@ -624,21 +535,13 @@ class Supervisor:
                             del inflight[future]
                             job.not_before = 0.0
                             pending.appendleft(job)
+                    for owner in killed:
+                        self._kill_executor(owner)
                     self.metrics.counter("supervise.pool_restarts").inc(
                         len(killed)
                     )
-                    self._retire(executors, killed)
+                    if executor in killed:
+                        executor = None
         finally:
-            # Leased slots outlive the run by design; the lease owner
-            # closes them.  An unleased pool is torn down here.
-            if self.pool is None:
-                for executor in executors.values():
-                    executor.shutdown(wait=False, cancel_futures=True)
-
-    def _retire(self, executors: dict, dead: set) -> None:
-        """Kill ``dead`` pools; their slots get fresh ones on demand."""
-        for owner in dead:
-            self._discard_executor(owner)
-        for slot, executor in list(executors.items()):
-            if executor in dead:
-                del executors[slot]
+            if executor is not None:
+                executor.shutdown(wait=False, cancel_futures=True)

@@ -145,6 +145,26 @@ class TestCommands:
         windows = [r for r in read_jsonl(trace) if r["type"] == "shard.window"]
         assert [r["shards"] for r in windows] == [2]
 
+    @pytest.mark.parametrize("which, flag", [
+        ("units", "--workers"),
+        ("exchange", "--resume"),
+        ("ewma", "--cache-dir"),
+        ("aimd", "--retries"),
+        ("timevarying", "--job-timeout"),
+    ])
+    def test_unsupervised_ablation_rejects_supervision_flags(
+        self, which, flag, tmp_path, capsys
+    ):
+        store = tmp_path / "store"
+        value = {"--resume": str(store), "--cache-dir": str(store),
+                 "--workers": "2", "--retries": "1", "--job-timeout": "5"}
+        assert main([
+            "ablation", which, "--measure-ms", "5", flag, value[flag],
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "toggler and variants" in err
+        assert not store.exists()
+
     def test_run_with_nagle_and_mix(self, capsys):
         code = main([
             "run", "--rate", "8000", "--nagle", "--set-ratio", "0.9",

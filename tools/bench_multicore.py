@@ -7,13 +7,14 @@ harness records what the machine can actually show into
 
 - the decomposed fan-in, serial vs 2 shards / 2 workers;
 - an 8-rate x 2-seed ``replicated_sweep``, serial vs pooled;
-- the shared-bottleneck windowed run, serial vs 2 shards / 2 workers;
 
 each with its byte-identity check (a speedup that changes a byte is a
 bug, not a win).  On a single-CPU box every comparison would measure
 only pool overhead, so the harness records a skip marker instead of a
 misleading number — CI uploads the file either way, so the trajectory
-shows *why* a leg has no speedup data.
+shows *why* a leg has no speedup data.  (The shared bottleneck has no
+leg: its coupled runs execute as one in-process job for any shard or
+worker count, so a leg would time serial against serial.)
 
 Run: ``PYTHONPATH=src python tools/bench_multicore.py``
 """
@@ -95,33 +96,6 @@ def measure_parallel_sweep(reps: int) -> dict:
     }
 
 
-def measure_bottleneck_sync(reps: int) -> dict:
-    from repro.experiments.bottleneck import (
-        BottleneckConfig,
-        run_shared_bottleneck,
-    )
-    from repro.units import msecs
-
-    # 80 windows of real contention.  Each window costs the 2x2 run one
-    # executor round trip per shard, so this ratio is a per-window
-    # overhead measurement as much as a parallel one.
-    config = BottleneckConfig(warmup_ns=msecs(10), measure_ns=msecs(30))
-    serial, serial_s = _best(
-        lambda: run_shared_bottleneck(config, shards=1, workers=1), reps
-    )
-    windowed, windowed_s = _best(
-        lambda: run_shared_bottleneck(config, shards=2, workers=2), reps
-    )
-    return {
-        "windows": serial.windows,
-        "exchanged_events": serial.exchanged_events,
-        "serial_seconds": round(serial_s, 3),
-        "windowed_2x2_seconds": round(windowed_s, 3),
-        "speedup": round(serial_s / windowed_s, 3),
-        "byte_identical": serial.to_json() == windowed.to_json(),
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="record real multicore speedups (or a skip marker)"
@@ -145,15 +119,13 @@ def main(argv=None) -> int:
     else:
         document["sharded_fanin"] = measure_sharded_fanin(args.reps)
         document["parallel_sweep"] = measure_parallel_sweep(args.reps)
-        document["bottleneck_sync"] = measure_bottleneck_sync(args.reps)
-        for name in ("sharded_fanin", "bottleneck_sync"):
-            section = document[name]
-            if not section["byte_identical"]:
-                print(f"ERROR: {name} parallel run is not byte-identical "
-                      "to serial", file=sys.stderr)
-                return 1
-            print(f"{name}: {section['speedup']}x "
-                  f"({section['serial_seconds']}s serial)")
+        fanin = document["sharded_fanin"]
+        if not fanin["byte_identical"]:
+            print("ERROR: sharded_fanin parallel run is not byte-identical "
+                  "to serial", file=sys.stderr)
+            return 1
+        print(f"sharded_fanin: {fanin['speedup']}x "
+              f"({fanin['serial_seconds']}s serial)")
         sweep = document["parallel_sweep"]
         if not sweep["identical"]:
             print("ERROR: pooled sweep diverged from serial",
