@@ -1,10 +1,9 @@
-"""End-to-end pipeline bench shapes: whole-run events/sec.
+"""End-to-end pipeline bench shapes: wall-clock seconds per whole run.
 
 The kernel microbenches in ``test_bench_perf.py`` time the bare
 schedule/run loop; these shapes time the *pipeline* — packet/TCP/qstate
-work per event included — by running a real benchmark config and
-dividing the simulator's executed-callback count by wall-clock time.
-Two regimes bracket the workload:
+work per event included — by running a real benchmark config end to
+end.  Two regimes bracket the workload:
 
 - ``fig2_point`` — one Figure 2 VM cell: Nagle on, exchange + hints +
   counter sampling active, the configuration the paper's estimator
@@ -13,10 +12,14 @@ Two regimes bracket the workload:
   jitter, receiver stalls and exchange corruption keep the retransmit /
   SACK / plausibility paths hot.
 
-Events/sec is wall-clock (machine-dependent); ``kernel_reference()``
-measures the pure event-kernel chained-timer shape on the same machine
-so stored baselines can be compared as *ratios* (pipeline events/sec ÷
-kernel events/sec), which is stable across machines of different speeds.
+Wall-clock depends on the machine, so ``kernel_reference()`` measures
+the pure event-kernel chained-timer shape on the same machine and every
+run is reported in *kernel-normalized seconds*: wall seconds times the
+kernel's events/sec over one million, i.e. how long the run would take
+on a machine whose chained kernel runs a million events per second.
+That is stable across machines of different speeds, and unlike
+events/sec it does not read a run that does the same work with fewer
+callbacks as a slowdown.  Events/sec is still recorded.
 
 ``PYTHONPATH=src python -m benchmarks.e2e_shapes`` prints one JSON
 measurement (used to refresh ``benchmarks/perf_baseline.json`` — see
@@ -73,8 +76,8 @@ E2E_SHAPES = {
 }
 
 
-def bench_shape(config: BenchConfig) -> float:
-    """One timed run: simulator callbacks executed per wall-clock second.
+def bench_shape(config: BenchConfig) -> tuple[int, float]:
+    """One timed run: (simulator callbacks executed, wall-clock seconds).
 
     Times the whole :func:`run_benchmark` (assembly and summarization
     included — both are part of what a campaign pays per run).
@@ -87,13 +90,23 @@ def bench_shape(config: BenchConfig) -> float:
     start = time.perf_counter()
     run_benchmark(config, tweak=tweak)
     elapsed = time.perf_counter() - start
-    return holder["bed"].sim.events_executed / elapsed
+    return holder["bed"].sim.events_executed, elapsed
 
 
-def measure_shapes(reps: int = 3) -> dict[str, float]:
-    """Best-of-``reps`` events/sec per shape."""
+def best_of(reps: int, timed) -> tuple[int, float]:
+    """The fastest of ``reps`` calls of ``timed() -> (events, seconds)``."""
+    return min((timed() for _ in range(reps)), key=lambda run: run[1])
+
+
+def normalized_s(seconds: float, kernel_eps: float) -> float:
+    """Wall seconds on a machine whose chained kernel runs 1M events/s."""
+    return round(seconds * kernel_eps / 1e6, 4)
+
+
+def measure_shapes(reps: int = 3) -> dict[str, tuple[int, float]]:
+    """Best-of-``reps`` (events, seconds) per shape."""
     return {
-        name: max(bench_shape(factory()) for _ in range(reps))
+        name: best_of(reps, lambda: bench_shape(factory()))
         for name, factory in E2E_SHAPES.items()
     }
 
@@ -121,82 +134,84 @@ def kernel_reference(reps: int = 3) -> float:
 
 
 def measure_all(reps: int = 3) -> dict:
-    """The full measurement: per-shape events/sec plus the normalizer."""
+    """The full measurement: per-shape runs plus the normalizer."""
     shapes = measure_shapes(reps)
     kernel = kernel_reference(reps)
     return {
-        "shapes": {name: round(eps) for name, eps in shapes.items()},
+        "shapes": {
+            name: round(events / seconds)
+            for name, (events, seconds) in shapes.items()
+        },
+        "events": {name: events for name, (events, _) in shapes.items()},
         "kernel_chained": round(kernel),
-        "normalized": {
-            name: round(eps / kernel, 4) for name, eps in shapes.items()
+        "normalized_s": {
+            name: normalized_s(seconds, kernel)
+            for name, (_, seconds) in shapes.items()
         },
     }
 
 
 def measure_dense_sampling(reps: int = 3) -> dict:
-    """Best-of-``reps`` events/sec on the dense-sampling shape.
+    """The best of ``reps`` runs of the dense-sampling shape.
 
     Output equivalence is enforced separately by the golden-digest
     suite, so this measures only wall-clock.
     """
-    dense = max(bench_shape(_dense_sampling()) for _ in range(reps))
+    events, seconds = best_of(reps, lambda: bench_shape(_dense_sampling()))
     kernel = kernel_reference(reps)
     return {
         "shape": "dense_sampling",
-        "events_per_sec": round(dense),
+        "events": events,
+        "events_per_sec": round(events / seconds),
         "kernel_chained": round(kernel),
-        "normalized": {"dense_sampling": round(dense / kernel, 4)},
+        "normalized_s": {"dense_sampling": normalized_s(seconds, kernel)},
     }
 
 
 def measure_sharded(reps: int = 3, workers: int = 1) -> dict:
-    """The decomposed fan-in, serial vs sharded: merged events/sec.
+    """The decomposed fan-in, serial vs sharded: seconds per run.
 
-    Events/sec here counts simulator callbacks summed over every
-    connection's sub-simulation divided by the wall-clock of the whole
-    ``run_fanin_sharded`` call (partition, windowed engine, workers and
-    merge included).
+    Each run is the whole ``run_fanin_sharded`` call (partition,
+    windowed engine, workers and merge included); its events are the
+    simulator callbacks summed over every connection's sub-simulation.
     On a single-CPU box the sharded run cannot beat the serial one —
-    the caller records both and gates only the serial ratio.
+    the caller records both and gates only the serial run.
     """
     from repro.experiments.fanin import FaninConfig, run_fanin_sharded
 
     config = FaninConfig(warmup_ns=msecs(10), measure_ns=msecs(40))
+    merged = []
 
-    def timed(shards: int, pool: int) -> tuple[float, int]:
+    def timed(shards: int, pool: int) -> tuple[int, float]:
         start = time.perf_counter()
         result = run_fanin_sharded(config, shards=shards, workers=pool)
         elapsed = time.perf_counter() - start
-        return result.events_executed / elapsed, result.merged_events
+        merged.append(result.merged_events)
+        return result.events_executed, elapsed
 
-    serial_eps, merged = 0.0, 0
-    for _ in range(reps):
-        eps, merged = timed(1, 1)
-        serial_eps = max(serial_eps, eps)
-    sharded_eps = 0.0
-    for _ in range(reps):
-        eps, _ = timed(2, workers)
-        sharded_eps = max(sharded_eps, eps)
+    events, serial_s = best_of(reps, lambda: timed(1, 1))
+    _, sharded_s = best_of(reps, lambda: timed(2, workers))
     kernel = kernel_reference(reps)
     return {
         "shape": "fanin_4c",
         "workers": workers,
-        "merged_events": merged,
-        "serial_events_per_sec": round(serial_eps),
-        "sharded_events_per_sec": round(sharded_eps),
+        "events": events,
+        "merged_events": merged[-1],
+        "serial_events_per_sec": round(events / serial_s),
+        "sharded_events_per_sec": round(events / sharded_s),
         "kernel_chained": round(kernel),
-        "normalized": {
-            "serial": round(serial_eps / kernel, 4),
-            "sharded": round(sharded_eps / kernel, 4),
+        "normalized_s": {
+            "serial": normalized_s(serial_s, kernel),
+            "sharded": normalized_s(sharded_s, kernel),
         },
     }
 
 
 def measure_cross_shard(reps: int = 3) -> dict:
-    """The windowed engine's native consumer, serial: events/sec.
+    """The windowed engine's native consumer, serial: seconds per run.
 
     ``bottleneck`` is N flows × one shared link, one window per
-    lookahead.  Its ratio depends on the window count, so it is
+    lookahead.  Its cost depends on the window count, so it is
     recorded for the trajectory, not gated.  (The decomposed fan-in
     runs on the same engine; :func:`measure_sharded` times it.)
     """
@@ -207,19 +222,20 @@ def measure_cross_shard(reps: int = 3) -> dict:
 
     config = BottleneckConfig(warmup_ns=msecs(10), measure_ns=msecs(30))
 
-    def timed() -> float:
+    def timed() -> tuple[int, float]:
         start = time.perf_counter()
         result = run_shared_bottleneck(config)
-        return result.events_executed / (time.perf_counter() - start)
+        return result.events_executed, time.perf_counter() - start
 
     windows = run_shared_bottleneck(config).windows
-    bottleneck_eps = max(timed() for _ in range(reps))
+    events, seconds = best_of(reps, timed)
     kernel = kernel_reference(reps)
     return {
-        "shapes": {"bottleneck": round(bottleneck_eps)},
+        "shapes": {"bottleneck": round(events / seconds)},
+        "events": {"bottleneck": events},
         "bottleneck_windows": windows,
         "kernel_chained": round(kernel),
-        "normalized": {"bottleneck": round(bottleneck_eps / kernel, 4)},
+        "normalized_s": {"bottleneck": normalized_s(seconds, kernel)},
     }
 
 

@@ -12,15 +12,25 @@ Richer misbehavior (bursty loss, jitter/reordering, blackouts) is
 injected through an optional per-packet fault hook — see
 :mod:`repro.faults` — consulted only when attached, so a clean link
 pays one ``is None`` check per packet.
+
+A link that feeds a :class:`~repro.net.nic.Nic` directly also carries
+*trains* (:meth:`Link.send_train`): a TSO super-segment the sending NIC
+posted unsliced because every slice's fate is known in advance.  A
+train occupies the wire for the sum of its slices' serialization times
+and costs one serialization-end event and one handover event instead
+of one of each per slice; docs/PERFORMANCE.md ("TSO trains") has the
+rules and why the outcome is the per-slice one.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import deque
+from itertools import chain
 from typing import Callable
 
 from repro.errors import NetworkError
+from repro.net.nic import Nic
 from repro.net.packet import Packet, recycle_packet
 from repro.sim.rng import RngStream
 from repro.units import serialization_delay_ns
@@ -69,9 +79,19 @@ class Link:
         self._loss_rng = loss_rng
         self._fault_hook: Callable[[Packet], int] | None = None
         self._receiver: Callable[[Packet], None] | None = None
+        # The NIC whose ingress is the receiver; None behind a switch, a
+        # mailbox or a test callback.
+        self.peer: Nic | None = None
         self._queue: deque[Packet] = deque()
         self._serializing = False
         self._current: Packet | None = None  # the packet on the wire
+        # Trains in the queue are the packets with ``wire_count > 1``;
+        # their (head slice ns, tail slice ns, early handover) ride in
+        # this FIFO in queue order, and ``_train`` holds the one on the
+        # wire as (start ns, head slice ns, slices, early handover).
+        self._trains: deque[tuple[int, int, bool]] = deque()
+        self._queued_slices = 0  # queued trains' slices beyond the first
+        self._train: tuple[int, int, int, bool] | None = None
         # Packets in flight with the nominal propagation delay.  All such
         # deliveries share one fixed delay, so completion order equals
         # send order and a FIFO plus one bound-method callback replaces a
@@ -101,16 +121,69 @@ class Link:
         if self._receiver is not None:
             raise NetworkError(f"link {self.name!r} already has a receiver")
         self._receiver = receiver
+        owner = getattr(receiver, "__self__", None)
+        if isinstance(owner, Nic) and receiver == owner.receive:
+            self.peer = owner
+
+    @property
+    def clean(self) -> bool:
+        """Whether every packet is delivered on schedule: no fault hook
+        and no random loss."""
+        return self._fault_hook is None and self._loss_rng is None
 
     @property
     def queued(self) -> int:
-        """Packets waiting to be serialized (excluding the one in flight)."""
-        return len(self._queue)
+        """Wire packets waiting to be serialized (excluding the one on
+        the wire).  A train counts as its slices not yet started."""
+        waiting = len(self._queue) + self._queued_slices
+        train = self._train
+        if train is not None:
+            start, head_ns, slices, _ = train
+            # Slice k starts k head slices after the train does.
+            started = (self._sim.now - start) // max(head_ns, 1) + 1
+            if started < slices:
+                waiting += slices - started
+        return waiting
+
+    def carries_flow(self, conn_id: int, src: str) -> bool:
+        """Whether a packet of the flow ``(conn_id, src)`` is queued, on
+        the wire or in flight on this link."""
+        for packet in chain(self._queue, self._flight, (self._current,)):
+            segment = getattr(packet, "payload", None)
+            if (
+                getattr(segment, "conn_id", None) == conn_id
+                and segment.src == src
+            ):
+                return True
+        return False
 
     def send(self, packet: Packet) -> None:
         """Enqueue a packet for transmission."""
         if self._receiver is None:
             raise NetworkError(f"link {self.name!r} has no receiver attached")
+        self._queue.append(packet)
+        if not self._serializing:
+            self._serialize_next()
+
+    def send_train(
+        self, packet: Packet, head_ns: int, tail_ns: int, early: bool
+    ) -> None:
+        """Enqueue a train: ``packet.wire_count`` slices sent back to back.
+
+        Every slice but the last takes ``head_ns`` to serialize and the
+        last takes ``tail_ns``.  The peer NIC gets the whole train through
+        :meth:`Nic.receive_train` when its first slice arrives if
+        ``early``, else when its last slice does.  Only a link straight
+        into a NIC takes trains: behind a switch or a mailbox another
+        flow's packets could land between the slices.
+        """
+        if self.peer is None:
+            raise NetworkError(
+                f"link {self.name!r} does not feed a NIC; it cannot carry "
+                f"a train"
+            )
+        self._trains.append((head_ns, tail_ns, early))
+        self._queued_slices += packet.wire_count - 1
         self._queue.append(packet)
         if not self._serializing:
             self._serialize_next()
@@ -121,7 +194,23 @@ class Link:
             return
         self._serializing = True
         packet = self._queue.popleft()
-        delay = serialization_delay_ns(packet.wire_bytes, self.bandwidth_bps)
+        slices = packet.wire_count
+        if slices > 1:
+            head_ns, tail_ns, early = self._trains.popleft()
+            self._queued_slices -= slices - 1
+            self._train = (self._sim.now, head_ns, slices, early)
+            delay = (slices - 1) * head_ns + tail_ns
+            if early:
+                # Handed over when the first slice lands, which may be
+                # before the wire is done with the last.
+                self._flight.append(packet)
+                self._sim.call_after(
+                    head_ns + self.propagation_delay_ns, self._hand_over_next
+                )
+        else:
+            delay = serialization_delay_ns(
+                packet.wire_bytes, self.bandwidth_bps
+            )
         self.busy_ns += delay
         # Serialization is strictly one-at-a-time, so the in-flight
         # packet lives in an attribute and the completion callback is a
@@ -132,6 +221,19 @@ class Link:
     def _finish_serialization(self) -> None:
         packet = self._current
         self._current = None
+        if packet.wire_count > 1:
+            # A train: the link is clean, so every slice got through.
+            early = self._train[3]
+            self._train = None
+            self.packets_sent += packet.wire_count
+            self.bytes_sent += packet.wire_bytes
+            if not early:
+                self._flight.append(packet)
+                self._sim.call_after(
+                    self.propagation_delay_ns, self._hand_over_next
+                )
+            self._serialize_next()
+            return
         verdict = 0
         if self._fault_hook is not None:
             verdict = self._fault_hook(packet)
@@ -161,3 +263,7 @@ class Link:
 
     def _deliver_next(self) -> None:
         self._receiver(self._flight.popleft())
+
+    def _hand_over_next(self) -> None:
+        self.peer.receive_train(self._flight.popleft())
+

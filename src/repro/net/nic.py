@@ -6,7 +6,11 @@ doorbell.  With ``doorbell_batching`` enabled, descriptors posted while
 the NIC is already draining do not ring again (xmit_more-style
 amortization — one of the driver-level batching heuristics from §1 of the
 paper).  TSO slices each super-segment into MTU-sized wire packets; the
-egress link paces them at line rate.
+egress link paces them at line rate.  When every slice's fate is known
+in advance (a clean wire straight into a GRO NIC, nothing else of the
+flow ahead of it, and GRO sure to take all of it into one aggregate)
+the super-segment crosses the wire unsliced as one *train* and the peer
+builds that aggregate whole (:meth:`Nic.receive_train`).
 
 Receive path.  GRO coalesces contiguous same-flow data packets into one
 delivery, flushed when a coalescing window expires, the aggregate reaches
@@ -30,11 +34,13 @@ from typing import Callable
 
 from repro.errors import NetworkError
 from repro.net.packet import (
+    ETHERNET_OVERHEAD,
     TCPIP_HEADER,
     Packet,
     acquire_packet,
     recycle_packet,
 )
+from repro.units import serialization_delay_ns
 
 
 @dataclass(frozen=True)
@@ -62,6 +68,10 @@ class NicConfig:
     def mss(self) -> int:
         """Maximum TCP payload per wire packet."""
         return self.mtu - TCPIP_HEADER
+
+
+# Per-frame bytes every wire packet pays beyond its TCP payload and options.
+_FRAME_OVERHEAD = TCPIP_HEADER + ETHERNET_OVERHEAD
 
 
 class _GroFlow:
@@ -103,6 +113,8 @@ class Nic:
         self.doorbells = 0
         self.tx_descriptors = 0
         self.tx_wire_packets = 0
+        self.tx_sliced = 0  # super-segments sliced into wire packets
+        self.tx_trains = 0  # super-segments sent whole as trains
         self.rx_wire_packets = 0
         self.rx_fault_drops = 0
         self.rx_deliveries = 0
@@ -172,8 +184,11 @@ class Nic:
         # occupancy-based decisions (auto-corking) and overflow checks:
         # occupancy is cleared one "drain tick" later, modelling the
         # completion interrupt lag that auto-corking keys off.
+        mss = self._mss
         while self._tx_ring:
             packet = self._tx_ring.popleft()
+            if packet.payload_bytes > mss and self._send_train(packet):
+                continue
             for wire_packet in self._tso_slice(packet):
                 self._egress.send(wire_packet)
                 self.tx_wire_packets += 1
@@ -185,6 +200,60 @@ class Nic:
         else:
             self._tx_active = False
 
+    def _send_train(self, packet: Packet) -> bool:
+        """Send a super-segment unsliced, as one train, if per-slice GRO
+        at the peer would rebuild it exactly; False sends nothing.
+
+        That holds when the egress wire is clean and feeds a NIC that
+        runs GRO with the same MSS and no RX fault hook, the segment is
+        not a retransmit, no packet of its flow is on the wire or held by
+        the peer's GRO, its slices land within the GRO flush window, and
+        it fits under ``gro_max_bytes``.
+        """
+        link = self._egress
+        peer = link.peer
+        segment = packet.payload
+        mss = self._mss
+        if (
+            peer is None
+            or not link.clean
+            or peer._rx_fault_hook is not None
+            or peer._gro_flush_ns <= 0
+            or peer._mss != mss
+            or packet.payload_bytes >= peer._gro_max_bytes
+            or not hasattr(segment, "split_at")
+            or segment.is_retransmit
+        ):
+            return False
+        conn_id = segment.conn_id
+        src = segment.src
+        if (conn_id, src) in peer._gro_flows:
+            return False
+        if link.carries_flow(conn_id, src):
+            return False
+        slices = -(-packet.payload_bytes // mss)
+        tail = packet.payload_bytes - (slices - 1) * mss
+        # As sliced: options ride the tail, every slice pays the headers.
+        options_bytes = segment.options_bytes()
+        bandwidth = link.bandwidth_bps
+        head_ns = serialization_delay_ns(mss + _FRAME_OVERHEAD, bandwidth)
+        tail_ns = serialization_delay_ns(
+            tail + options_bytes + _FRAME_OVERHEAD, bandwidth
+        )
+        # The peer's flush timer starts when the first slice lands.
+        if (slices - 2) * head_ns + tail_ns >= peer._gro_flush_ns:
+            return False
+        packet.wire_count = slices
+        packet.options_bytes = options_bytes
+        # A full, unpushed last slice leaves the aggregate held for the
+        # timer: the peer can take the train as soon as its head lands.
+        link.send_train(
+            packet, head_ns, tail_ns, tail == mss and not segment.psh
+        )
+        self.tx_wire_packets += slices
+        self.tx_trains += 1
+        return True
+
     def _tso_slice(self, packet: Packet) -> list[Packet]:
         """Slice a super-segment into MTU-bounded wire packets."""
         mss = self._mss
@@ -195,6 +264,7 @@ class Nic:
             raise NetworkError(
                 f"cannot TSO-slice payload of type {type(segment).__name__}"
             )
+        self.tx_sliced += 1
         src = packet.src
         dst = packet.dst
         slices: list[Packet] = []
@@ -287,6 +357,52 @@ class Nic:
         if segment.psh:
             self._deliver(packet)
             return
+        self._hold(key, packet)
+
+    def receive_train(self, packet: Packet) -> None:
+        """Ingress for a train (see :meth:`Link.send_train`): hold or
+        deliver exactly what GRO builds from its slices one by one.
+
+        The link hands the train over when its first slice lands if the
+        last slice is a full MSS without PSH: GRO holds the aggregate
+        for its timer and the later slices only merge into it, so it is
+        held whole now.  Otherwise the train arrives with its last
+        slice, which either merges and flushes the whole aggregate (PSH)
+        or, short of an MSS, flushes the other slices' aggregate and is
+        delivered on its own.
+        """
+        if self._rx_handler is None:
+            raise NetworkError(f"NIC {self.name!r} has no RX handler")
+        slices = packet.wire_count
+        self.rx_wire_packets += slices
+        segment = packet.payload
+        head_bytes = (slices - 1) * self._mss
+        # The segment's own split and merge build the aggregates, so
+        # every field is what slicing and merging slice by slice gives.
+        head, tail = segment.split_at(head_bytes)
+        head.wire_count = slices - 1
+        if tail.payload_len < self._mss:
+            self._deliver(
+                acquire_packet(
+                    packet.src,
+                    packet.dst,
+                    head_bytes,
+                    payload=head,
+                    wire_count=slices - 1,
+                )
+            )
+            packet.payload_bytes = tail.payload_len
+            packet.payload = tail
+            packet.wire_count = 1
+            self._deliver(packet)
+            return
+        packet.payload = head.merge(tail)
+        if segment.psh:
+            self._deliver(packet)
+            return
+        self._hold((segment.conn_id, segment.src), packet)
+
+    def _hold(self, key: tuple[int, str], packet: Packet) -> None:
         timer = self._sim.call_after(
             self._gro_flush_ns, lambda: self._flush_flow(key)
         )

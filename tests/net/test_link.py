@@ -6,9 +6,14 @@ import pytest
 
 from repro.errors import NetworkError
 from repro.net.link import Link
+from repro.net.nic import Nic, NicConfig
 from repro.net.packet import Packet
+from repro.net.switch import Star
 from repro.sim.rng import RngRegistry
+from repro.tcp.segment import Segment
 from repro.units import SEC
+
+MSS = NicConfig().mss
 
 
 def make_link(sim, bandwidth_bps=8e9, delay=1000, **kwargs):
@@ -102,3 +107,69 @@ class TestLink:
         sim.run()
         assert 60 < len(arrived) < 140
         assert link.packets_dropped == 200 - len(arrived)
+
+
+def segment_packet(conn, length, seq=0):
+    segment = Segment(conn_id=conn, src="a", dst="b", seq=seq,
+                      payload_len=length, ack=0, wnd=1 << 20)
+    return Packet(src="a", dst="b", payload_bytes=length, payload=segment)
+
+
+class TestTrains:
+    """A TSO train on the link: one unit, still counted as its slices."""
+
+    @staticmethod
+    def queue_profile(sim):
+        # 1 byte/ns and a GRO window long enough for the whole train.
+        config = NicConfig(gro_flush_ns=10_000)
+        tx = Nic(sim, config, name="tx")
+        rx = Nic(sim, config, name="rx")
+        rx.attach_rx_handler(lambda batch: None)
+        link = Link(sim, 8e9, 0, name="wire")
+        tx.attach_egress(link)
+        link.attach_receiver(rx.receive)
+        profile = []
+        # Probes sit between slice boundaries (590 + k*1538 ns), where
+        # "started" is unambiguous.
+        for t in range(50, 7_500, 100):
+            sim.call_at(t, lambda: profile.append((sim.now, link.queued)))
+
+        def burst():
+            tx.post(segment_packet(2, 500))  # another flow keeps it busy
+            tx.post(segment_packet(1, 4 * MSS + 100))
+
+        sim.call_at(0, burst)
+        sim.run()
+        return profile, tx.tx_trains
+
+    def test_queued_counts_a_train_as_its_slices(self, make_sim, monkeypatch):
+        profile, trains = self.queue_profile(make_sim())
+        assert trains == 1
+        assert profile[0] == (50, 5)  # the train waits as five slices
+        with monkeypatch.context() as patch:
+            patch.setattr(Nic, "_send_train", lambda self, packet: False)
+            reference, trains = self.queue_profile(make_sim())
+        assert trains == 0
+        assert profile == reference
+
+    def test_train_into_a_non_nic_receiver_is_rejected(self, sim):
+        train = segment_packet(1, 3 * MSS)
+        train.wire_count = 3
+        link, _ = make_link(sim)
+        assert link.peer is None
+        with pytest.raises(NetworkError):
+            link.send_train(train, 100, 100, False)
+        nics = {}
+        for name in ("a", "b"):
+            nics[name] = Nic(sim, NicConfig(), name=name)
+            nics[name].attach_rx_handler(lambda batch: None)
+        star = Star.connect(sim, nics)
+        uplink = star.uplinks["a"]  # feeds the switch
+        assert uplink.peer is None
+        with pytest.raises(NetworkError):
+            uplink.send_train(train, 100, 100, False)
+        # So a NIC behind a switch always slices.
+        nics["a"].post(segment_packet(1, 3 * MSS))
+        sim.run()
+        assert (nics["a"].tx_trains, nics["a"].tx_sliced) == (0, 1)
+        assert nics["b"].rx_wire_packets == 3

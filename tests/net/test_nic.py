@@ -199,3 +199,214 @@ class TestInterruptCoalescing:
         assert len(batches) == 1
         assert len(batches[0]) == 3
         assert nic.rx_interrupts == 1
+
+
+# ----------------------------------------------------------------------
+# TSO trains: a super-segment crossing the wire whole must leave the
+# receiver exactly where its slices, one by one, would have.
+# ----------------------------------------------------------------------
+
+GAP = 100  # ns between slice arrivals: well inside the GRO window
+
+TRAIN_CASES = {
+    "option_on_tail": dict(length=3 * MSS + 100, psh=True,
+                           options={"e2e": "state"}),
+    "sack_blocks": dict(length=2 * MSS + 700,
+                        sack=((10_000, 11_000), (12_000, 13_000))),
+    "psh_full_tail": dict(length=3 * MSS, psh=True, options={"e2e": "state"}),
+    "sub_mss_tail": dict(length=4 * MSS + 1),
+    "held_exact_multiple": dict(length=3 * MSS, options={"e2e": "state"},
+                                sack=((10_000, 11_000),)),
+    "two_slices": dict(length=MSS + 200, psh=True),
+}
+
+
+def train_segment(length, psh=False, options=None, sack=()):
+    return Segment(
+        conn_id=1, src="a", dst="b", seq=5_000, payload_len=length,
+        ack=777, wnd=1 << 20, options=dict(options or {}), psh=psh,
+        sack_blocks=sack,
+    )
+
+
+def delivery(sim, packet):
+    segment = packet.payload
+    return (
+        sim.now,
+        packet.payload_bytes,
+        packet.options_bytes,
+        packet.wire_count,
+        {name: getattr(segment, name) for name in Segment.__slots__},
+    )
+
+
+def recording_rx_nic(sim, config):
+    nic = Nic(sim, config, name="rx")
+    delivered = []
+    nic.attach_rx_handler(
+        lambda batch: delivered.extend(delivery(sim, p) for p in batch)
+    )
+    return nic, delivered
+
+
+class TestTrainAggregate:
+    """``Nic.receive_train`` against the slices fed to ``_gro_receive``."""
+
+    @pytest.mark.parametrize("coalesce_ns", [0, 2_000])
+    @pytest.mark.parametrize("case", sorted(TRAIN_CASES))
+    def test_train_matches_its_slices(self, make_sim, case, coalesce_ns):
+        config = NicConfig(rx_coalesce_ns=coalesce_ns)
+        spec = TRAIN_CASES[case]
+
+        sim = make_sim()
+        rx, per_slice = recording_rx_nic(sim, config)
+        slices = Nic(sim, config)._tso_slice(
+            segment_packet(train_segment(**spec))
+        )
+        for index, packet in enumerate(slices):
+            sim.call_at(index * GAP, lambda p=packet: rx._gro_receive(p))
+        sim.run()
+
+        sim = make_sim()
+        rx_train, as_train = recording_rx_nic(sim, config)
+        segment = train_segment(**spec)
+        train = Packet(
+            src="a", dst="b", payload_bytes=segment.payload_len,
+            payload=segment, options_bytes=segment.options_bytes(),
+            wire_count=len(slices),
+        )
+        # The link hands a train over when its first slice lands if GRO
+        # will hold the aggregate (full, unpushed last slice), else when
+        # the last one does.
+        held = segment.payload_len % MSS == 0 and not segment.psh
+        arrival = 0 if held else (len(slices) - 1) * GAP
+        sim.call_at(arrival, lambda: rx_train.receive_train(train))
+        sim.run()
+
+        assert as_train == per_slice
+        assert rx_train.rx_wire_packets == len(slices)
+        assert rx_train.rx_deliveries == rx.rx_deliveries
+        assert rx_train.rx_interrupts == rx.rx_interrupts
+        if held:  # flushed by the GRO timer, armed at the first arrival
+            flush = config.gro_flush_ns + coalesce_ns
+            assert [t for t, *_ in per_slice] == [flush]
+
+
+def wire_pair(sim, config, bandwidth_bps=100e9, delay=1_000,
+              peer_config=None, loss_probability=0.0):
+    tx = Nic(sim, config, name="tx")
+    rx, delivered = recording_rx_nic(sim, peer_config or config)
+    link = Link(sim, bandwidth_bps, delay, name="wire",
+                loss_probability=loss_probability)
+    tx.attach_egress(link)
+    link.attach_receiver(rx.receive)
+    return tx, rx, link, delivered
+
+
+def per_slice_only(monkeypatch):
+    monkeypatch.setattr(Nic, "_send_train", lambda self, packet: False)
+
+
+class TestTrainWire:
+    """A train through a real link against the forced per-slice path."""
+
+    @staticmethod
+    def run(make_sim, spec, config=NicConfig(), **wire):
+        sim = make_sim()
+        tx, rx, link, delivered = wire_pair(sim, config, **wire)
+        tx.post(segment_packet(train_segment(**spec)))
+        sim.run()
+        counts = (
+            link.packets_sent, link.bytes_sent, link.busy_ns,
+            tx.tx_wire_packets, rx.rx_wire_packets, rx.rx_deliveries,
+        )
+        return delivered, counts, (tx.tx_trains, tx.tx_sliced)
+
+    @pytest.mark.parametrize("case", sorted(TRAIN_CASES))
+    def test_same_deliveries_and_counters(self, make_sim, monkeypatch, case):
+        spec = TRAIN_CASES[case]
+        delivered, counts, formed = self.run(make_sim, spec)
+        assert formed == (1, 0)
+        with monkeypatch.context() as patch:
+            per_slice_only(patch)
+            reference, reference_counts, sliced = self.run(make_sim, spec)
+        assert sliced == (0, 1)
+        assert delivered == reference
+        assert counts == reference_counts
+
+    def test_propagation_shorter_than_the_train(self, make_sim, monkeypatch):
+        """Held trains are handed over before they finish serializing."""
+        spec = TRAIN_CASES["held_exact_multiple"]
+        delivered, counts, formed = self.run(make_sim, spec, delay=10)
+        assert formed == (1, 0)
+        with monkeypatch.context() as patch:
+            per_slice_only(patch)
+            reference, reference_counts, _ = self.run(make_sim, spec, delay=10)
+        assert delivered == reference
+        assert counts == reference_counts
+
+    # At 1 byte/ns three full slices land 2 x 1,538 ns apart from the
+    # first: with that exact window GRO's timer beats the last slice.
+    @pytest.mark.parametrize("flush_ns, trains", [(3_076, 0), (3_077, 1)])
+    def test_slices_must_land_inside_the_gro_window(
+        self, make_sim, monkeypatch, flush_ns, trains
+    ):
+        spec = dict(length=3 * MSS)
+        config = NicConfig(gro_flush_ns=flush_ns)
+        wire = dict(bandwidth_bps=8e9, delay=0)
+        delivered, _, formed = self.run(make_sim, spec, config, **wire)
+        assert formed == (trains, 1 - trains)
+        with monkeypatch.context() as patch:
+            per_slice_only(patch)
+            reference, _, _ = self.run(make_sim, spec, config, **wire)
+        assert delivered == reference
+
+    @pytest.mark.parametrize(
+        "why, config, wire",
+        [
+            ("peer GRO off", NicConfig(gro_flush_ns=0), {}),
+            ("slices outlast the GRO window", NicConfig(),
+             {"bandwidth_bps": 1e9}),
+            ("over gro_max_bytes", NicConfig(gro_max_bytes=2 * MSS), {}),
+            ("peer MSS differs", NicConfig(),
+             {"peer_config": NicConfig(mtu=9000)}),
+            ("lossy link", NicConfig(), {"loss_probability": 0.1}),
+        ],
+    )
+    def test_declined(self, make_sim, why, config, wire):
+        spec = TRAIN_CASES["sub_mss_tail"]
+        _, _, formed = self.run(make_sim, spec, config, **wire)
+        assert formed == (0, 1), why
+
+    @pytest.mark.parametrize("hooked", ["link", "peer"])
+    def test_declined_under_a_fault_hook(self, sim, hooked):
+        tx, rx, link, _ = wire_pair(sim, NicConfig())
+        if hooked == "link":
+            link.set_fault_hook(lambda packet: 0)
+        else:
+            rx.set_rx_fault_hook(lambda packet: 0)
+        tx.post(segment_packet(train_segment(length=3 * MSS)))
+        sim.run()
+        assert (tx.tx_trains, tx.tx_sliced) == (0, 1)
+
+    def test_declined_for_a_retransmit(self, sim):
+        tx, _, _, _ = wire_pair(sim, NicConfig())
+        segment = train_segment(length=3 * MSS)
+        segment.is_retransmit = True
+        tx.post(segment_packet(segment))
+        sim.run()
+        assert (tx.tx_trains, tx.tx_sliced) == (0, 1)
+
+    # The first burst is on the wire at 0 ns and held by the peer's GRO
+    # (arrived at 1,123 ns, flushed at 4,123 ns) at 2,000 ns.
+    @pytest.mark.parametrize("gap", [0, 2_000])
+    def test_declined_behind_its_own_flow(self, sim, gap):
+        """Back-to-back bursts of one flow: the second would merge into
+        the first's aggregate, so it is sliced."""
+        tx, _, _, _ = wire_pair(sim, NicConfig())
+        tx.post(segment_packet(train_segment(length=3 * MSS)))
+        second = train_segment(length=2 * MSS + 100)
+        second.seq += 3 * MSS
+        sim.call_at(gap, lambda: tx.post(segment_packet(second)))
+        sim.run()
+        assert (tx.tx_trains, tx.tx_sliced) == (1, 1)
