@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from repro.apps.kvstore import KVStore
 from repro.apps.messages import Request, Response
 from repro.errors import WorkloadError
+from repro.tcp.socket import wait_any_readable
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,9 @@ class RedisServer:
             if not self._backlog and all(
                 sock.readable_bytes == 0 for sock in self.sockets
             ):
-                yield self._wait_any_readable()
+                yield wait_any_readable(
+                    self._sim, self.sockets, f"{self.name}.any_readable"
+                )
             yield host.app_core.submit(host.costs.wakeup_ns)
             served_this_iteration = 0
             self.iterations += 1
@@ -140,20 +143,6 @@ class RedisServer:
                 )
                 self._flush(sock, responses)
             self.batch_sizes.append(served_this_iteration)
-
-    def _wait_any_readable(self):
-        """Waitable firing when any connection becomes readable (epoll)."""
-        from repro.sim.events import Event
-
-        combined = Event(self._sim, name=f"{self.name}.any_readable")
-
-        def forward(_value):
-            if not combined.triggered:
-                combined.trigger()
-
-        for sock in self.sockets:
-            sock.wait_readable().add_callback(forward)
-        return combined
 
     def _execute(self, request: Request) -> Response:
         if request.kind == "SET":

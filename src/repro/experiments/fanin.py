@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 
-from repro.analysis.counters import CounterCollector
+from repro.analysis.counters import CounterClock, CounterCollector
 from repro.analysis.report import format_table
 from repro.apps.kvstore import KVStore
 from repro.apps.redis_client import ClientConfig, RedisClient
@@ -62,6 +62,7 @@ class FaninBed:
     clients: list[RedisClient]
     server: RedisServer
     collectors: list[CounterCollector]
+    clock: CounterClock  # samples the collectors
 
 
 def build_fanin(config: FaninConfig) -> FaninBed:
@@ -102,6 +103,7 @@ def build_fanin(config: FaninConfig) -> FaninBed:
         sim=sim, rng=rng, server_host=server_host, client_hosts=client_hosts,
         client_socks=client_socks, server_socks=server_socks,
         clients=clients, server=server, collectors=collectors,
+        clock=CounterClock(sim, collectors),
     )
 
 
@@ -172,13 +174,11 @@ def run_fanin(config: FaninConfig, with_toggler: bool = False) -> FaninResult:
 
     def begin() -> None:
         bed.server_host.reset_utilization_windows()
-        for collector in bed.collectors:
-            collector.start()
+        bed.clock.start()
 
     bed.sim.call_at(measure_start, begin)
     bed.sim.run(until=measure_end)
-    for collector in bed.collectors:
-        collector.stop()
+    bed.clock.stop()
 
     per_client = []
     all_samples = []
@@ -268,6 +268,7 @@ class _FaninSyncComponent(SyncComponent):
         collector = CounterCollector(
             sim, client_sock, server_sock, period_ns=msecs(10)
         )
+        clock = CounterClock(sim, [collector])
         server = RedisServer(
             sim, server_host, server_sock, store=KVStore(),
             config=ServerConfig(),
@@ -293,13 +294,14 @@ class _FaninSyncComponent(SyncComponent):
 
         def begin() -> None:
             server_host.reset_utilization_windows()
-            collector.start()
+            clock.start()
 
         sim.call_at(measure_start, begin)
 
         self.index = index
         self.sim = sim
         self.client = client
+        self.clock = clock
         self.collector = collector
         self.server_host = server_host
         self.measure_start = measure_start
@@ -322,7 +324,7 @@ class _FaninSyncComponent(SyncComponent):
 
     def finish(self) -> ConnectionShard:
         """Stop collection and package the shard-neutral output."""
-        self.collector.stop()
+        self.clock.stop()
         events = tuple(
             (r.completed_at, (r.kind, r.latency_ns))
             for r in self.client.records

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar
 
-from repro.analysis.counters import CounterCollector
+from repro.analysis.counters import CounterClock, CounterCollector
 from repro.analysis.offline import OfflineEstimate
 from repro.apps.kvstore import KVStore
 from repro.apps.redis_client import ClientConfig, RedisClient
@@ -111,6 +111,7 @@ class Testbed:
     server_host: Host
     server: RedisServer
     conns: list[Connection]
+    clock: CounterClock  # samples every connection's collector
     faults: FaultInjector | None = None
     tracer: object = None  # repro.obs Tracer; NULL_TRACER when untraced
     # The counter pipeline every testbed runs: flat sample columns (see
@@ -318,6 +319,7 @@ def build_testbed(config: BenchConfig, tracer=None) -> Testbed:
         server_host=server_host,
         server=server,
         conns=conns,
+        clock=CounterClock(sim, [conn.collector for conn in conns]),
         faults=faults,
         tracer=tracer,
     )
@@ -366,15 +368,14 @@ def run_benchmark(
     def begin_measurement() -> None:
         bed.client_host.reset_utilization_windows()
         bed.server_host.reset_utilization_windows()
+        bed.clock.start()
         for conn in bed.conns:
-            conn.collector.start()
             if conn.hint_session is not None:
                 conn.hint_session.sample()  # reset the interval baseline
 
     bed.sim.call_at(measure_start, begin_measurement)
     bed.sim.run(until=measure_end)
-    for conn in bed.conns:
-        conn.collector.stop()
+    bed.clock.stop()
 
     return _summarize_run(bed, measure_start, measure_end)
 

@@ -14,6 +14,7 @@ from typing import Callable
 
 from repro.errors import ProtocolError
 from repro.rpc.messages import RpcReply, RpcRequest
+from repro.tcp.socket import wait_any_readable
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,9 @@ class RpcServer:
         host = self.host
         while True:
             if all(sock.readable_bytes == 0 for sock in self.sockets):
-                yield self._wait_any_readable()
+                yield wait_any_readable(
+                    self._sim, self.sockets, f"{self.name}.any_readable"
+                )
             yield host.app_core.submit(host.costs.wakeup_ns)
             self.iterations += 1
             for sock in self.sockets:
@@ -109,15 +112,3 @@ class RpcServer:
         )
         return reply, cost
 
-    def _wait_any_readable(self):
-        from repro.sim.events import Event
-
-        combined = Event(self._sim, name=f"{self.name}.any_readable")
-
-        def forward(_value):
-            if not combined.triggered:
-                combined.trigger()
-
-        for sock in self.sockets:
-            sock.wait_readable().add_callback(forward)
-        return combined

@@ -134,7 +134,7 @@ class TcpSocket:
             sim, config.mss, self._delack_fire, config.delack_delay_ns,
             adaptive=config.delack_adaptive,
         )
-        self._readers: list[Event] = []
+        self._readers: list = []  # Events and any-readable waiters
 
         # --- paper instrumentation (byte units, §3.4) -----------------------
         self.qs_unacked = QueueState(host.clock)
@@ -667,3 +667,45 @@ class TcpSocket:
             f"<TcpSocket {self.name} conn={self.conn_id} "
             f"una={self.snd_una} nxt={self.snd_nxt} rcv={self.rcv_nxt}>"
         )
+
+
+class _AnyReadable:
+    """The one waiter :func:`wait_any_readable` puts on every socket.
+
+    Sockets wake their readers with ``trigger()``.  The first socket to
+    wake this one withdraws it from the others and forwards the wake.
+    """
+
+    __slots__ = ("_sim", "_sockets", "_ready")
+
+    def __init__(self, sim, sockets, ready: Event):
+        self._sim = sim
+        self._sockets = sockets
+        self._ready = ready
+
+    def trigger(self) -> None:
+        for sock in self._sockets:
+            readers = sock._readers
+            if self in readers:
+                readers.remove(self)
+        self._sim.call_after(0, self._ready.trigger)
+
+
+def wait_any_readable(sim, sockets, name: str) -> Event:
+    """Waitable firing when any of ``sockets`` turns readable (epoll).
+
+    If none is readable yet, one waiter goes on every socket; the first
+    to turn readable (new in-order data, or a lifted read stall) wakes
+    it, and it leaves the others, so an idle socket never collects
+    waiters that lost.  Either way the wake takes the same two
+    zero-delay hops as a wait on one :meth:`TcpSocket.wait_readable`
+    event: a forward, then the waiting process's step.
+    """
+    ready = Event(sim, name=name)
+    if any(sock.readable_bytes > 0 for sock in sockets):
+        sim.call_after(0, ready.trigger)
+    else:
+        waiter = _AnyReadable(sim, sockets, ready)
+        for sock in sockets:
+            sock._readers.append(waiter)
+    return ready

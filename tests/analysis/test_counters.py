@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.counters import CounterCollector, TripleSnapshot
+from repro.analysis.counters import (
+    CounterClock,
+    CounterCollector,
+    TripleSnapshot,
+)
 from repro.core.qstate import QueueState
 from repro.errors import EstimationError
 
@@ -30,9 +34,10 @@ class TestCounterCollector:
         client = FakeEndpoint(lambda: sim.now)
         server = FakeEndpoint(lambda: sim.now)
         collector = CounterCollector(sim, client, server, period_ns=1000)
-        collector.start()
+        clock = CounterClock(sim, [collector])
+        clock.start()
         sim.run(until=5500)
-        collector.stop()
+        clock.stop()
         times = [s.time for s in collector.samples]
         assert times == [0, 1000, 2000, 3000, 4000, 5000, 5500]
 
@@ -40,9 +45,10 @@ class TestCounterCollector:
         client = FakeEndpoint(lambda: sim.now)
         server = FakeEndpoint(lambda: sim.now)
         collector = CounterCollector(sim, client, server, period_ns=1000)
-        collector.start()
+        clock = CounterClock(sim, [collector])
+        clock.start()
         sim.run(until=2500)
-        collector.stop()
+        clock.stop()
         count = len(collector.samples)
         sim.run(until=10_000)
         assert len(collector.samples) == count

@@ -2,8 +2,10 @@
 
 :class:`~repro.analysis.counters.CounterCollector` records each tick as
 one row of ints and builds :class:`CounterSample` objects only on
-demand.  These tests drive it through random queue churn and compare
-it with objects the test builds itself, from
+demand.  A row is twelve ints, ``(total, integral)`` per queue: each
+queue is folded to the sample time in place, without calling
+:meth:`QueueState.track`.  These tests drive it through random queue
+churn and compare it with objects the test builds itself, from
 :meth:`QueueState.snapshot` and :meth:`TripleSnapshot.capture`.
 
 ``python`` names the pure-python column store, the one sample pipeline
@@ -18,6 +20,7 @@ import random
 import pytest
 
 from repro.analysis.counters import (
+    CounterClock,
     CounterCollector,
     CounterSample,
     TripleSnapshot,
@@ -80,6 +83,15 @@ def test_sample_batch_materializes_identical_samples(pipeline):
                 client=_reference(client),
                 server=TripleSnapshot.capture(server),
             ))
+            snapshots = [
+                snapshot
+                for triple in (expected[-1].client, expected[-1].server)
+                for snapshot in (triple.unacked, triple.unread, triple.ackdelay)
+            ]
+            assert {s.time for s in snapshots} == {collector._times[-1]}
+            assert collector._rows[-12:] == [
+                value for s in snapshots for value in (s.total, s.integral)
+            ], f"seed {seed}"
             if rng.random() < 0.1:  # materialize mid-run, then extend
                 assert collector.samples == expected, f"seed {seed}"
         assert collector.sample_count == len(expected)
@@ -93,15 +105,16 @@ def test_sample_batch_window_estimate_matches_offline(pipeline):
         rng = random.Random(seed)
         client, server = _Endpoint(sim), _Endpoint(sim)
         collector = CounterCollector(sim, client, server, period_ns=100)
+        clock = CounterClock(sim, [collector])
 
         def churn():
             _churn(rng, (client, server))
             sim.call_after(rng.randrange(1, 60), churn)
 
         churn()
-        sim.call_at(250, collector.start)
+        sim.call_at(250, clock.start)
         sim.run(until=20_000)
-        collector.stop()
+        clock.stop()
         samples = collector.samples
         times = [s.time for s in samples]
         checked = raised = 0
@@ -123,3 +136,32 @@ def test_sample_batch_window_estimate_matches_offline(pipeline):
                 ), f"seed {seed}: [{start}, {end}]"
                 checked += 1
         assert checked and raised, f"seed {seed}"
+
+
+def test_sample_folds_like_track_and_keeps_its_backwards_clock_error():
+    rng = random.Random(3)
+    sim = Simulator()
+    folded, tracked = _Endpoint(sim), _Endpoint(sim)
+    collector = CounterCollector(sim, folded, _Endpoint(sim), period_ns=1)
+    for _ in range(100):
+        sim.now += rng.randrange(0, 4)
+        for mine, theirs in zip(folded.queues(), tracked.queues()):
+            if rng.random() < 0.5:  # else the sample's fold does the work
+                nitems = rng.randrange(-mine.size, 4)
+                mine.track(nitems)
+                theirs.track(nitems)
+        collector.sample_now()
+        for theirs in tracked.queues():
+            theirs.track(0)
+        # The fold leaves each queue in the state track(0) leaves it in.
+        assert [
+            (q.time, q.size, q.total, q.integral) for q in folded.queues()
+        ] == [
+            (q.time, q.size, q.total, q.integral) for q in tracked.queues()
+        ]
+    # A queue whose clock is behind its stored time raises, as TRACK does.
+    sim.now -= 1
+    with pytest.raises(EstimationError, match="backwards"):
+        tracked.qs_unacked.track(0)
+    with pytest.raises(EstimationError, match="backwards"):
+        collector.sample_now()
