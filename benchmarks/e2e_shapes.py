@@ -12,14 +12,17 @@ end.  Two regimes bracket the workload:
   jitter, receiver stalls and exchange corruption keep the retransmit /
   SACK / plausibility paths hot.
 
-Wall-clock depends on the machine, so ``kernel_reference()`` measures
-the pure event-kernel chained-timer shape on the same machine and every
-run is reported in *kernel-normalized seconds*: wall seconds times the
-kernel's events/sec over one million, i.e. how long the run would take
-on a machine whose chained kernel runs a million events per second.
-That is stable across machines of different speeds, and unlike
-events/sec it does not read a run that does the same work with fewer
-callbacks as a slowdown.  Events/sec is still recorded.
+Wall-clock depends on the machine, so every run is reported in
+*kernel-normalized seconds*: wall seconds times a chained-timer kernel
+rate measured on the same machine, over one million, i.e. how long the
+run would take on a machine whose chained kernel runs a million events
+per second.  The rate is :func:`kernel_reference`: the frozen kernel
+in ``benchmarks/frozen_kernel.py``, timed right before and right after
+each run, times the committed factor ``k`` that puts it in the units
+the references were set in.  That is stable across machines of
+different speeds, and unlike events/sec it does not read a run that
+does the same work with fewer callbacks as a slowdown.  Events/sec is
+still recorded.
 
 ``PYTHONPATH=src python -m benchmarks.e2e_shapes`` prints one JSON
 measurement (used to refresh ``benchmarks/perf_baseline.json`` — see
@@ -29,9 +32,11 @@ docs/PERFORMANCE.md).
 from __future__ import annotations
 
 import json
+import pathlib
 import time
 from dataclasses import replace
 
+from benchmarks.frozen_kernel import LegacySimulator, best_chained_rate
 from repro.experiments.fig2 import fig2_config
 from repro.faults import named_plan
 from repro.loadgen.lancet import BenchConfig, run_benchmark
@@ -93,60 +98,58 @@ def bench_shape(config: BenchConfig) -> tuple[int, float]:
     return holder["bed"].sim.events_executed, elapsed
 
 
-def best_of(reps: int, timed) -> tuple[int, float]:
-    """The fastest of ``reps`` calls of ``timed() -> (events, seconds)``."""
-    return min((timed() for _ in range(reps)), key=lambda run: run[1])
-
-
 def normalized_s(seconds: float, kernel_eps: float) -> float:
     """Wall seconds on a machine whose chained kernel runs 1M events/s."""
     return round(seconds * kernel_eps / 1e6, 4)
 
 
-def measure_shapes(reps: int = 3) -> dict[str, tuple[int, float]]:
-    """Best-of-``reps`` (events, seconds) per shape."""
-    return {
-        name: best_of(reps, lambda: bench_shape(factory()))
-        for name, factory in E2E_SHAPES.items()
-    }
+BASELINE_PATH = pathlib.Path(__file__).parent / "perf_baseline.json"
 
 
 def kernel_reference(reps: int = 3) -> float:
-    """The chained-timer kernel shape, as a machine-speed normalizer."""
-    from repro.sim.loop import Simulator
+    """The machine-speed normalizer: the frozen kernel's best-of-``reps``
+    chained rate times the committed ``k``
+    (``conversion.kernel_factor`` in ``perf_baseline.json``)."""
+    doc = json.loads(BASELINE_PATH.read_text())
+    k = doc["conversion"]["kernel_factor"]["k"]
+    return k * best_chained_rate(LegacySimulator, reps)
 
-    def chained(n: int = 100_000) -> float:
-        sim = Simulator()
-        state = {"count": 0}
 
-        def tick():
-            state["count"] += 1
-            if state["count"] < n:
-                sim.call_after(10, tick)
+def calibrated(timed) -> tuple[int, float, float]:
+    """``timed() -> (events, seconds)`` between two reference readings:
+    (events, seconds, the readings' mean rate)."""
+    before = kernel_reference()
+    events, seconds = timed()
+    after = kernel_reference()
+    return events, seconds, (before + after) / 2
 
-        sim.call_after(10, tick)
-        start = time.perf_counter()
-        sim.run()
-        assert state["count"] == n
-        return n / (time.perf_counter() - start)
 
-    return max(chained() for _ in range(reps))
+def best_calibrated(reps: int, timed) -> tuple[int, float, float]:
+    """The :func:`calibrated` run with the fewest normalized seconds."""
+    return min(
+        (calibrated(timed) for _ in range(reps)),
+        key=lambda run: run[1] * run[2],
+    )
 
 
 def measure_all(reps: int = 3) -> dict:
-    """The full measurement: per-shape runs plus the normalizer."""
-    shapes = measure_shapes(reps)
-    kernel = kernel_reference(reps)
+    """Per-shape runs, each normalized by its own reference readings."""
+    runs = {
+        name: best_calibrated(reps, lambda: bench_shape(factory()))
+        for name, factory in E2E_SHAPES.items()
+    }
     return {
         "shapes": {
             name: round(events / seconds)
-            for name, (events, seconds) in shapes.items()
+            for name, (events, seconds, _) in runs.items()
         },
-        "events": {name: events for name, (events, _) in shapes.items()},
-        "kernel_chained": round(kernel),
+        "events": {name: run[0] for name, run in runs.items()},
+        "kernel_chained": {
+            name: round(run[2]) for name, run in runs.items()
+        },
         "normalized_s": {
             name: normalized_s(seconds, kernel)
-            for name, (_, seconds) in shapes.items()
+            for name, (_, seconds, kernel) in runs.items()
         },
     }
 
@@ -157,8 +160,9 @@ def measure_dense_sampling(reps: int = 3) -> dict:
     Output equivalence is enforced separately by the golden-digest
     suite, so this measures only wall-clock.
     """
-    events, seconds = best_of(reps, lambda: bench_shape(_dense_sampling()))
-    kernel = kernel_reference(reps)
+    events, seconds, kernel = best_calibrated(
+        reps, lambda: bench_shape(_dense_sampling())
+    )
     return {
         "shape": "dense_sampling",
         "events": events,
@@ -189,9 +193,12 @@ def measure_sharded(reps: int = 3, workers: int = 1) -> dict:
         merged.append(result.merged_events)
         return result.events_executed, elapsed
 
-    events, serial_s = best_of(reps, lambda: timed(1, 1))
-    _, sharded_s = best_of(reps, lambda: timed(2, workers))
-    kernel = kernel_reference(reps)
+    events, serial_s, serial_kernel = best_calibrated(
+        reps, lambda: timed(1, 1)
+    )
+    _, sharded_s, sharded_kernel = best_calibrated(
+        reps, lambda: timed(2, workers)
+    )
     return {
         "shape": "fanin_4c",
         "workers": workers,
@@ -199,10 +206,13 @@ def measure_sharded(reps: int = 3, workers: int = 1) -> dict:
         "merged_events": merged[-1],
         "serial_events_per_sec": round(events / serial_s),
         "sharded_events_per_sec": round(events / sharded_s),
-        "kernel_chained": round(kernel),
+        "kernel_chained": {
+            "serial": round(serial_kernel),
+            "sharded": round(sharded_kernel),
+        },
         "normalized_s": {
-            "serial": normalized_s(serial_s, kernel),
-            "sharded": normalized_s(sharded_s, kernel),
+            "serial": normalized_s(serial_s, serial_kernel),
+            "sharded": normalized_s(sharded_s, sharded_kernel),
         },
     }
 
@@ -228,8 +238,7 @@ def measure_cross_shard(reps: int = 3) -> dict:
         return result.events_executed, time.perf_counter() - start
 
     windows = run_shared_bottleneck(config).windows
-    events, seconds = best_of(reps, timed)
-    kernel = kernel_reference(reps)
+    events, seconds, kernel = best_calibrated(reps, timed)
     return {
         "shapes": {"bottleneck": round(events / seconds)},
         "events": {"bottleneck": events},

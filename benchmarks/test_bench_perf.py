@@ -6,8 +6,8 @@ performance trajectory accumulates across PRs:
 
 - the event-kernel microbenches time the pure schedule/run loop in three
   shapes (a chained timer, a cancel-heavy timer churn like TCP's
-  retransmit/delack arming, and a deep heap) against an embedded copy of
-  the seed's ``_Scheduled``-object kernel;
+  retransmit/delack arming, and a deep heap) against the frozen copy of
+  the seed's ``_Scheduled``-object kernel in ``frozen_kernel.py``;
 - the campaign bench times an 8-rate x 3-seed ``replicated_sweep``
   serially and with a worker pool and checks the results are identical
   (the determinism guarantee the parallel runner makes).
@@ -19,15 +19,14 @@ can deliver it (the pool cannot beat serial on a single core).
 
 from __future__ import annotations
 
-import heapq
 import json
 import os
 import pathlib
 import time
-from typing import Callable
 
 import pytest
 
+from benchmarks.frozen_kernel import LegacySimulator, chained_rate
 from repro.loadgen.lancet import BenchConfig
 from repro.loadgen.replications import replicated_sweep
 from repro.sim.loop import Simulator
@@ -47,81 +46,11 @@ def _update_perf(key: str, payload: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The seed kernel, verbatim shape: one _Scheduled object per event, Python
-# __lt__ heap comparisons, O(n) pending scan.  Kept here as the fixed
-# baseline the fast path is measured against.
-# ---------------------------------------------------------------------------
-
-
-class _LegacyScheduled:
-    __slots__ = ("time", "seq", "callback", "cancelled")
-
-    def __init__(self, time: int, seq: int, callback: Callable[[], None]):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = False
-
-    def __lt__(self, other: "_LegacyScheduled") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-
-class _LegacySimulator:
-    def __init__(self):
-        self._now = 0
-        self._heap: list[_LegacyScheduled] = []
-        self._seq = 0
-
-    def call_at(self, time: int, callback: Callable[[], None]):
-        entry = _LegacyScheduled(time, self._seq, callback)
-        self._seq += 1
-        heapq.heappush(self._heap, entry)
-        return entry
-
-    def call_after(self, delay: int, callback: Callable[[], None]):
-        return self.call_at(self._now + delay, callback)
-
-    def run(self, until: int | None = None) -> None:
-        while self._heap:
-            entry = self._heap[0]
-            if entry.cancelled:
-                heapq.heappop(self._heap)
-                continue
-            if until is not None and entry.time > until:
-                break
-            heapq.heappop(self._heap)
-            self._now = entry.time
-            entry.callback()
-        if until is not None and self._now < until:
-            self._now = until
-
-
-# ---------------------------------------------------------------------------
 # Kernel microbench shapes.  Each returns events/sec for one simulator
 # class; the shapes bracket the real workload (ARCHITECTURE.md: ~40 heap
 # events per request, with retransmit/delack timers armed and cancelled
 # per segment).
 # ---------------------------------------------------------------------------
-
-
-def _bench_chained(sim_cls, n: int = 100_000) -> float:
-    """One live timer chained n times — the pure schedule/run cycle."""
-    sim = sim_cls()
-    state = {"count": 0}
-
-    def tick():
-        state["count"] += 1
-        if state["count"] < n:
-            sim.call_after(10, tick)
-
-    sim.call_after(10, tick)
-    start = time.perf_counter()
-    sim.run()
-    assert state["count"] == n
-    return n / (time.perf_counter() - start)
 
 
 def _bench_cancel_churn(sim_cls, n: int = 50_000) -> float:
@@ -131,8 +60,7 @@ def _bench_cancel_churn(sim_cls, n: int = 50_000) -> float:
 
     def tick():
         state["count"] += 1
-        handle = sim.call_after(1000, _noop)
-        handle.cancel()
+        sim.cancel(sim.call_after(1000, _noop))
         if state["count"] < n:
             sim.call_after(10, tick)
 
@@ -167,14 +95,14 @@ def _bench_deep_heap(sim_cls, n: int = 50_000, depth: int = 1_000) -> float:
 
 
 _KERNEL_SHAPES = {
-    "chained": _bench_chained,
+    "chained": chained_rate,
     "cancel_churn": _bench_cancel_churn,
     "deep_heap": _bench_deep_heap,
 }
 
 
 def test_perf_kernel_events_per_sec():
-    """The tuple-entry kernel must beat the seed kernel by >= 20%.
+    """The list-entry kernel must beat the seed kernel by >= 20%.
 
     Per-shape events/sec land in perf.json; the assertion is on the
     geometric mean across shapes, with a little slack under the 20%
@@ -185,7 +113,7 @@ def test_perf_kernel_events_per_sec():
     ratio_product = 1.0
     for name, bench in _KERNEL_SHAPES.items():
         current = max(bench(Simulator) for _ in range(3))
-        legacy = max(bench(_LegacySimulator) for _ in range(3))
+        legacy = max(bench(LegacySimulator) for _ in range(3))
         rows[name] = {
             "events_per_sec": round(current),
             "seed_events_per_sec": round(legacy),

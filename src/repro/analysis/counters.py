@@ -216,7 +216,7 @@ class CounterClock:
     def stop(self) -> None:
         """Stop sampling (takes one final sample of every collector)."""
         if self._timer is not None:
-            self._timer.cancel()
+            self._sim.cancel(self._timer)
             self._timer = None
         for collector in self._collectors:
             collector.sample_now()

@@ -101,7 +101,7 @@ class AimdBatchLimiter:
     def stop(self) -> None:
         """Cancel the tick timer."""
         if self._timer is not None:
-            self._timer.cancel()
+            self._sim.cancel(self._timer)
             self._timer = None
 
     def _tick(self) -> None:

@@ -323,7 +323,7 @@ class MetadataExchange:
     def stop_carrier(self) -> None:
         """Cancel the carrier."""
         if self._carrier_timer is not None:
-            self._carrier_timer.cancel()
+            self._sim.cancel(self._carrier_timer)
             self._carrier_timer = None
         self._carrier_deadline_ns = None
 

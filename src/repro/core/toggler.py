@@ -169,7 +169,7 @@ class NagleToggler:
     def stop(self) -> None:
         """Cancel the tick timer."""
         if self._timer is not None:
-            self._timer.cancel()
+            self._sim.cancel(self._timer)
             self._timer = None
 
     # ------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """A CPU core as a serial work executor with utilization accounting.
 
-Work items are ``(cost_ns, callback)`` pairs executed strictly FIFO; the
-core is busy for exactly the sum of the costs it runs.  Utilization over a
-window — busy time divided by elapsed time — is what Figure 2a/2b report.
+Work items are ``(cost_ns, fn, arg)`` triples executed strictly FIFO,
+completing with ``fn(arg)`` (no closure per item); the core is busy for
+exactly the sum of the costs it runs.  Utilization over a window — busy
+time divided by elapsed time — is what Figure 2a/2b report.
 
 Two submission styles:
 
@@ -27,8 +28,8 @@ class CpuCore:
         "_sim",
         "name",
         "_queue",
-        "_busy",
-        "_current",
+        "_fn",
+        "_arg",
         "busy_ns",
         "work_items",
         "_window_start",
@@ -38,9 +39,10 @@ class CpuCore:
     def __init__(self, sim, name: str = "core"):
         self._sim = sim
         self.name = name
-        self._queue: deque[tuple[int, Callable[[], None]]] = deque()
-        self._busy = False
-        self._current: Callable[[], None] | None = None
+        self._queue: deque[tuple[int, Callable[[Any], None], Any]] = deque()
+        # The item in progress (None while idle).
+        self._fn: Callable[[Any], None] | None = None
+        self._arg: Any = None
         self.busy_ns = 0
         self.work_items = 0
         self._window_start = sim.now
@@ -50,38 +52,36 @@ class CpuCore:
     # Submission.
     # ------------------------------------------------------------------
 
-    def execute(self, cost_ns: int, callback: Callable[[], None]) -> None:
-        """Run ``callback`` after the core has spent ``cost_ns`` on it,
+    def execute(self, cost_ns: int, fn: Callable[[Any], None], arg: Any) -> None:
+        """Call ``fn(arg)`` after the core has spent ``cost_ns`` on it,
         behind any previously queued work."""
         if cost_ns < 0:
             raise SimulationError(f"negative CPU cost {cost_ns}")
-        self._queue.append((cost_ns, callback))
-        if not self._busy:
-            self._run_next()
+        if self._fn is not None:
+            self._queue.append((cost_ns, fn, arg))
+            return
+        # Busy time is charged when an item starts.
+        self.busy_ns += cost_ns
+        self.work_items += 1
+        self._fn = fn
+        self._arg = arg
+        self._sim.call_after(cost_ns, self._finish_current)
 
     def submit(self, cost_ns: int) -> "_CpuWork":
         """Waitable variant of :meth:`execute` for processes."""
         return _CpuWork(self, cost_ns)
 
-    def _run_next(self) -> None:
-        if not self._queue:
-            self._busy = False
-            return
-        self._busy = True
-        cost_ns, callback = self._queue.popleft()
-        self.busy_ns += cost_ns
-        self.work_items += 1
-        # The core runs strictly one item at a time, so the in-progress
-        # callback lives in an attribute and the completion is a bound
-        # method — no per-item closure.
-        self._current = callback
-        self._sim.call_after(cost_ns, self._finish_current)
-
     def _finish_current(self) -> None:
-        callback = self._current
-        self._current = None
-        callback()
-        self._run_next()
+        # The item stays current while it runs, so work it submits to
+        # this core queues behind anything already waiting.
+        self._fn(self._arg)
+        if self._queue:
+            cost_ns, self._fn, self._arg = self._queue.popleft()
+            self.busy_ns += cost_ns
+            self.work_items += 1
+            self._sim.call_after(cost_ns, self._finish_current)
+        else:
+            self._fn = self._arg = None
 
     # ------------------------------------------------------------------
     # Accounting.
@@ -121,4 +121,4 @@ class _CpuWork:
         self._cost = cost_ns
 
     def _subscribe(self, resume: Callable[[Any], None]) -> None:
-        self._core.execute(self._cost, lambda: resume(None))
+        self._core.execute(self._cost, resume, None)

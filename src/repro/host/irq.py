@@ -16,7 +16,7 @@ from repro.host.cpu import CpuCore
 from repro.net.packet import Packet
 
 
-def _noop() -> None:
+def _noop(_arg) -> None:
     return None
 
 
@@ -58,7 +58,7 @@ class SoftIrq:
         """
         self.interrupts += 1
         execute = self._core.execute
-        execute(self._irq_cost_ns, _noop)
+        execute(self._irq_cost_ns, _noop, None)
         ack_cost = self._ack_cost_ns
         delivery_cost = self._delivery_cost_ns
         wire_packet_cost = self._wire_packet_cost_ns
@@ -74,4 +74,4 @@ class SoftIrq:
                 + wire_packet_cost * wire_count
                 + round(byte_cost * packet.wire_bytes)
             )
-            execute(cost, lambda p=packet: deliver(p))
+            execute(cost, deliver, packet)

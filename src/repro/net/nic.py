@@ -412,7 +412,7 @@ class Nic:
         flow = self._gro_flows.pop(key, None)
         if flow is None:
             return
-        flow.timer.cancel()
+        self._sim.cancel(flow.timer)
         self._deliver(flow.packet)
 
     def _deliver(self, packet: Packet) -> None:

@@ -5,14 +5,17 @@ never moves backwards; callbacks scheduled for the same instant run in the
 order they were scheduled (FIFO within a timestamp), which keeps runs
 deterministic regardless of heap internals.
 
-Hot-path layout: heap entries are plain ``(time, seq, callback, handle)``
-tuples, so every sift compares ``(time, seq)`` at C speed instead of
-calling a Python ``__lt__`` (``seq`` is unique, so the callback and handle
-are never compared).  Cancellation flips a flag on the lightweight
-:class:`ScheduleHandle`; cancelled entries are skipped lazily on pop, and
-the heap is compacted in place once dead entries outnumber live ones, so
-cancel-heavy workloads (TCP retransmit/delack timers are armed and
-disarmed per segment) cannot bloat the heap.
+Hot-path layout: heap entries are plain ``[time, seq, callback]`` lists,
+so every sift compares ``(time, seq)`` at C speed instead of calling a
+Python ``__lt__`` (``seq`` is unique, so callbacks are never compared).
+``call_at``/``call_after`` return the entry itself, and
+:meth:`Simulator.cancel` clears its callback slot.  The loop clears the
+same slot just before a callback runs, so an empty slot means "will not
+fire": cancelling after execution, or twice, is a no-op.  Dead entries
+are skipped lazily on pop, and the heap is compacted in place once they
+outnumber the live ones, so cancel-heavy workloads (TCP
+retransmit/delack timers are armed and disarmed per segment) cannot
+bloat the heap.
 """
 
 from __future__ import annotations
@@ -28,32 +31,6 @@ from repro.errors import SimulationError, WatchdogError
 # compacting constantly; the ratio bounds wasted heap memory and pop
 # work at 2x regardless of workload.
 _COMPACT_MIN_DEAD = 64
-
-
-class ScheduleHandle:
-    """Cancellation handle for one scheduled callback.
-
-    ``_done`` doubles as "consumed": the loop flips it just before the
-    callback runs, so ``cancel()`` after execution is a no-op and a
-    double ``cancel()`` cannot double-decrement the live-entry count.
-    """
-
-    __slots__ = ("_sim", "_done")
-
-    def __init__(self, sim: "Simulator"):
-        self._sim = sim
-        self._done = False
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether this entry will no longer fire (cancelled or already ran)."""
-        return self._done
-
-    def cancel(self) -> None:
-        """Prevent the callback from running (no-op if it already did)."""
-        if not self._done:
-            self._done = True
-            self._sim._note_cancel()
 
 
 class Simulator:
@@ -76,8 +53,8 @@ class Simulator:
         # attribute load is several times cheaper than a property call.
         # Only the dispatch loop writes it.
         self.now = start_time
-        # Entries: (time, seq, callback, handle).
-        self._heap: list[tuple[int, int, Callable[[], None], ScheduleHandle]] = []
+        # Entries: [time, seq, callback]; None once cancelled or run.
+        self._heap: list[list] = []
         self._seq = count()  # FIFO tie-breaker within a timestamp
         self._dead = 0  # cancelled entries still sitting in the heap
         self._running = False
@@ -119,31 +96,37 @@ class Simulator:
     # Scheduling.
     # ------------------------------------------------------------------
 
-    def call_at(self, time: int, callback: Callable[[], None]) -> ScheduleHandle:
+    def call_at(self, time: int, callback: Callable[[], None]) -> list:
         """Schedule ``callback`` to run at absolute simulated ``time``.
 
-        Returns a handle whose ``cancel()`` prevents the callback from
-        running.  Scheduling in the past is an error.
+        Returns the heap entry; pass it to :meth:`cancel` to prevent the
+        callback from running.  Scheduling in the past is an error.
         """
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at t={time} (now is t={self.now})"
             )
-        handle = ScheduleHandle.__new__(ScheduleHandle)
-        handle._sim = self
-        handle._done = False
-        heappush(self._heap, (time, next(self._seq), callback, handle))
-        return handle
+        entry = [time, next(self._seq), callback]
+        heappush(self._heap, entry)
+        return entry
 
-    def call_after(self, delay: int, callback: Callable[[], None]) -> ScheduleHandle:
+    def call_after(self, delay: int, callback: Callable[[], None]) -> list:
         """Schedule ``callback`` to run ``delay`` nanoseconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        handle = ScheduleHandle.__new__(ScheduleHandle)
-        handle._sim = self
-        handle._done = False
-        heappush(self._heap, (self.now + delay, next(self._seq), callback, handle))
-        return handle
+        entry = [self.now + delay, next(self._seq), callback]
+        heappush(self._heap, entry)
+        return entry
+
+    def cancel(self, entry: list) -> None:
+        """Prevent a scheduled callback from running.
+
+        ``entry`` is what :meth:`call_at`/:meth:`call_after` returned; a
+        no-op if its callback already ran or was cancelled.
+        """
+        if entry[2] is not None:
+            entry[2] = None
+            self._note_cancel()
 
     def _note_cancel(self) -> None:
         """Account one cancellation; compact the heap when mostly dead."""
@@ -151,7 +134,7 @@ class Simulator:
         if self._dead >= _COMPACT_MIN_DEAD and self._dead * 2 >= len(self._heap):
             # In-place so loops holding a reference to the list see the
             # compacted heap (run() aliases it locally).
-            self._heap[:] = [e for e in self._heap if not e[3]._done]
+            self._heap[:] = [e for e in self._heap if e[2] is not None]
             heapify(self._heap)
             self._dead = 0
 
@@ -167,7 +150,8 @@ class Simulator:
         heap = self._heap
         while heap:
             entry = heap[0]
-            if entry[3]._done:
+            callback = entry[2]
+            if callback is None:
                 heappop(heap)
                 self._dead -= 1
                 continue
@@ -177,10 +161,10 @@ class Simulator:
             ):
                 raise self._budget_exceeded()
             heappop(heap)
-            entry[3]._done = True
+            entry[2] = None
             self.now = entry[0]
             self._executed += 1
-            entry[2]()
+            callback()
             return True
         return False
 
@@ -200,21 +184,23 @@ class Simulator:
             if until is None:
                 while heap and not self._stopped:
                     entry = heap[0]
-                    if entry[3]._done:
+                    callback = entry[2]
+                    if callback is None:
                         pop(heap)
                         self._dead -= 1
                         continue
                     if budget is not None and executed >= budget:
                         raise self._budget_exceeded(executed)
                     pop(heap)
-                    entry[3]._done = True
+                    entry[2] = None
                     self.now = entry[0]
                     executed += 1
-                    entry[2]()
+                    callback()
             else:
                 while heap and not self._stopped:
                     entry = heap[0]
-                    if entry[3]._done:
+                    callback = entry[2]
+                    if callback is None:
                         pop(heap)
                         self._dead -= 1
                         continue
@@ -223,10 +209,10 @@ class Simulator:
                     if budget is not None and executed >= budget:
                         raise self._budget_exceeded(executed)
                     pop(heap)
-                    entry[3]._done = True
+                    entry[2] = None
                     self.now = entry[0]
                     executed += 1
-                    entry[2]()
+                    callback()
                 if not self._stopped and self.now < until:
                     self.now = until
         finally:

@@ -10,10 +10,10 @@ A simulation process is a Python generator.  It advances by ``yield``-ing
   return value;
 - a store operation from :mod:`repro.sim.resources` (``Store.get()`` etc.).
 
-Anything yielded must expose ``_subscribe(resume)``, where ``resume`` is a
-one-argument callable the waitable invokes (exactly once) to hand control
-back.  Processes themselves are waitables, so parent/child structuring is
-free.
+Every waitable but ``Timeout`` exposes ``_subscribe(resume)``, where
+``resume`` is a one-argument callable the waitable invokes (exactly
+once) to hand control back; a process binds it once.  Processes
+themselves are waitables, so parent/child structuring is free.
 """
 
 from __future__ import annotations
@@ -33,9 +33,6 @@ class Timeout:
             raise ProcessError(f"negative timeout {delay}")
         self.delay = delay
 
-    def _subscribe_with_sim(self, sim, resume: Callable[[Any], None]) -> None:
-        sim.call_after(self.delay, lambda: resume(None))
-
     def __repr__(self) -> str:
         return f"Timeout({self.delay})"
 
@@ -49,7 +46,7 @@ class Process:
     yielded this one.
     """
 
-    __slots__ = ("_sim", "_generator", "name", "_done", "_failure")
+    __slots__ = ("_sim", "_generator", "name", "_done", "_failure", "_resume")
 
     def __init__(self, sim, generator: Generator, name: str | None = None):
         if not hasattr(generator, "send"):
@@ -64,7 +61,8 @@ class Process:
         self.name = name or getattr(generator, "__name__", "process")
         self._done = Event(sim, name=f"{self.name}.done")
         self._failure: BaseException | None = None
-        sim.call_after(0, lambda: self._step(None))
+        self._resume = self._step
+        sim.call_after(0, self._wake)
 
     # ------------------------------------------------------------------
     # State.
@@ -89,8 +87,12 @@ class Process:
     # Stepping.
     # ------------------------------------------------------------------
 
+    def _wake(self) -> None:
+        """Resume with None: the first step, or a ``Timeout`` expiring."""
+        self._step(None)
+
     def _step(self, value: Any) -> None:
-        if self._done.triggered:
+        if self._done._triggered:
             # A waitable resumed us after interrupt()/termination — e.g.
             # a timeout that was already in flight.  Drop it silently;
             # the generator is closed.
@@ -106,18 +108,17 @@ class Process:
             self._failure = exc
             self._done.trigger(None)
             raise
-        self._wait_on(target)
-
-    def _wait_on(self, target: Any) -> None:
         if isinstance(target, Timeout):
-            target._subscribe_with_sim(self._sim, self._step)
-        elif hasattr(target, "_subscribe"):
-            target._subscribe(self._step)
-        else:
+            self._sim.call_after(target.delay, self._wake)
+            return
+        try:
+            subscribe = target._subscribe
+        except AttributeError:
             raise ProcessError(
                 f"process {self.name!r} yielded non-waitable "
                 f"{type(target).__name__}: {target!r}"
-            )
+            ) from None
+        subscribe(self._resume)
 
     # Protocol: a Process is itself waitable (resumes with its result).
     def _subscribe(self, resume: Callable[[Any], None]) -> None:

@@ -47,7 +47,8 @@ import multiprocessing
 import time
 import traceback
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from typing import Callable, Sequence
 
@@ -426,6 +427,12 @@ class Supervisor:
                 pass
         executor.shutdown(wait=False, cancel_futures=True)
 
+    def _restart_pool(self, executor: ProcessPoolExecutor) -> None:
+        """The pool died: tear it down; the next dispatch builds anew."""
+        self.metrics.counter("supervise.pool_restarts").inc()
+        self.log.info("worker pool died; restarting on a fresh pool")
+        self._kill_executor(executor)
+
     def _pop_eligible(self, pending: deque) -> _Job | None:
         """The first job whose backoff embargo has expired."""
         now = time.monotonic()
@@ -455,7 +462,15 @@ class Supervisor:
                         executor = ProcessPoolExecutor(
                             max_workers=workers, mp_context=ctx
                         )
-                    future = executor.submit(_guarded, fn, job.payload)
+                    try:
+                        future = executor.submit(_guarded, fn, job.payload)
+                    except BrokenExecutor:
+                        # A worker died since the last wait.  This job
+                        # never ran: requeue it first, without a strike.
+                        pending.appendleft(job)
+                        self._restart_pool(executor)
+                        executor = None
+                        break
                     inflight[future] = (job, None, executor)
                     dispatched.append(future)
                 # Jobs dispatched together share one deadline, set once
@@ -502,11 +517,7 @@ class Supervisor:
                         )
 
                 if broken:
-                    self.metrics.counter("supervise.pool_restarts").inc()
-                    self.log.info(
-                        "worker pool died; restarting on a fresh pool"
-                    )
-                    self._kill_executor(executor)
+                    self._restart_pool(executor)
                     executor = None
 
                 # Hung-worker detection: any in-flight job past its

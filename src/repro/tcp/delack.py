@@ -133,5 +133,5 @@ class DelayedAckManager:
 
     def _cancel_timer(self) -> None:
         if self._timer is not None:
-            self._timer.cancel()
+            self._sim.cancel(self._timer)
             self._timer = None

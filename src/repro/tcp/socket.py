@@ -402,7 +402,7 @@ class TcpSocket:
             options_bytes=segment.options_bytes(),
         )
         self.host.net_core.execute(
-            self.host.costs.tx_packet_ns, lambda: self.host.nic.post(packet)
+            self.host.costs.tx_packet_ns, self.host.nic.post, packet
         )
 
     def _delack_fire(self) -> None:
@@ -602,7 +602,7 @@ class TcpSocket:
 
     def _cancel_persist_timer(self) -> None:
         if self._persist_timer is not None:
-            self._persist_timer.cancel()
+            self._sim.cancel(self._persist_timer)
             self._persist_timer = None
         self._persist_backoff = 1
 
@@ -631,7 +631,7 @@ class TcpSocket:
 
     def _cancel_rtx_timer(self) -> None:
         if self._rtx_timer is not None:
-            self._rtx_timer.cancel()
+            self._sim.cancel(self._rtx_timer)
             self._rtx_timer = None
 
     def _rtx_expired(self) -> None:

@@ -43,7 +43,7 @@ class _PerCollectorTimer:
 
     def stop(self):
         if self._timer is not None:
-            self._timer.cancel()
+            self._sim.cancel(self._timer)
             self._timer = None
         self._collector.sample_now()
 

@@ -49,66 +49,60 @@ class TestScheduling:
 
     def test_cancel_prevents_execution(self, sim):
         ran = []
-        handle = sim.call_at(10, lambda: ran.append(1))
-        handle.cancel()
+        entry = sim.call_at(10, lambda: ran.append(1))
+        sim.cancel(entry)
         sim.run()
         assert ran == []
 
     def test_pending_excludes_cancelled(self, sim):
-        handle = sim.call_at(10, lambda: None)
+        entry = sim.call_at(10, lambda: None)
         sim.call_at(20, lambda: None)
         assert sim.pending == 2
-        handle.cancel()
+        sim.cancel(entry)
         assert sim.pending == 1
 
 
 class TestCancellationAccounting:
     def test_double_cancel_does_not_double_decrement(self, sim):
-        handle = sim.call_at(10, lambda: None)
+        entry = sim.call_at(10, lambda: None)
         sim.call_at(20, lambda: None)
-        handle.cancel()
-        handle.cancel()
+        sim.cancel(entry)
+        sim.cancel(entry)
         assert sim.pending == 1
 
     def test_cancel_after_execution_is_noop(self, sim):
         ran = []
-        handle = sim.call_at(10, lambda: ran.append(1))
+        entry = sim.call_at(10, lambda: ran.append(1))
         sim.call_at(20, lambda: None)
         sim.run(until=15)
         assert ran == [1]
         assert sim.pending == 1
-        handle.cancel()
-        handle.cancel()
+        sim.cancel(entry)
+        sim.cancel(entry)
         assert sim.pending == 1
 
     def test_pending_tracks_push_pop_cancel(self, sim):
-        handles = [sim.call_at(10 * i, lambda: None) for i in range(1, 6)]
+        entries = [sim.call_at(10 * i, lambda: None) for i in range(1, 6)]
         assert sim.pending == 5
-        handles[0].cancel()
+        sim.cancel(entries[0])
         assert sim.pending == 4
         assert sim.step()  # runs the entry at t=20
         assert sim.pending == 3
-        handles[2].cancel()
+        sim.cancel(entries[2])
         assert sim.pending == 2
         sim.run()
         assert sim.pending == 0
 
-    def test_cancelled_property(self, sim):
-        handle = sim.call_at(10, lambda: None)
-        assert not handle.cancelled
-        handle.cancel()
-        assert handle.cancelled
-
     def test_mass_cancellation_compacts_heap(self, sim):
         keep = []
-        handles = []
+        entries = []
         for index in range(300):
             if index % 4 == 0:
                 sim.call_at(1000 + index, lambda i=index: keep.append(i))
             else:
-                handles.append(sim.call_at(1000 + index, lambda: None))
-        for handle in handles:
-            handle.cancel()
+                entries.append(sim.call_at(1000 + index, lambda: None))
+        for entry in entries:
+            sim.cancel(entry)
         # Cancelled entries outnumber live ones well past the compaction
         # threshold, so the heap must have shrunk to the live set.
         assert sim.pending == 75

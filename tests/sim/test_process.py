@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ProcessError
+from repro.host.cpu import CpuCore
 from repro.sim.events import Event
 from repro.sim.process import Process, Timeout
+from repro.sim.resources import Store
 
 
 class TestTimeout:
@@ -51,9 +53,39 @@ class TestProcessLifecycle:
         def proc():
             yield 42
 
-        sim.spawn(proc())
-        with pytest.raises(ProcessError):
+        sim.spawn(proc(), name="worker")
+        with pytest.raises(ProcessError) as error:
             sim.run()
+        assert str(error.value) == "process 'worker' yielded non-waitable int: 42"
+
+    def test_resume_values_from_every_waitable(self, sim):
+        event = Event(sim)
+        core = CpuCore(sim)
+        store = Store(sim)
+        got = []
+
+        def child():
+            yield Timeout(3)
+            return "child-result"
+
+        def proc():
+            got.append(("timeout", (yield Timeout(10)), sim.now))
+            got.append(("event", (yield event), sim.now))
+            got.append(("cpu", (yield core.submit(7)), sim.now))
+            got.append(("store", (yield store.get()), sim.now))
+            got.append(("process", (yield sim.spawn(child())), sim.now))
+
+        sim.spawn(proc())
+        sim.call_at(20, lambda: event.trigger("fired"))
+        sim.call_at(40, lambda: store.put("item"))
+        sim.run()
+        assert got == [
+            ("timeout", None, 10),
+            ("event", "fired", 20),
+            ("cpu", None, 27),
+            ("store", "item", 40),
+            ("process", "child-result", 43),
+        ]
 
     def test_waiting_on_event_receives_value(self, sim):
         event = Event(sim)

@@ -13,6 +13,7 @@ import os
 import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import pytest
@@ -39,6 +40,10 @@ def _crash_once(payload):
         marker.write_text("crashing")
         os.kill(os.getpid(), signal.SIGKILL)
     return x + 100
+
+
+def _plus_300(x):
+    return x + 300
 
 
 def _hang_forever(x):
@@ -87,6 +92,35 @@ class TestCrashRecovery:
         assert counters["supervise.crashes"] >= 3
         assert counters["supervise.pool_restarts"] >= 1
         assert counters.get("supervise.quarantined", 0) == 0
+
+
+    def test_pool_broken_at_submit_is_rebuilt(self, monkeypatch):
+        # A worker can die after futures_wait returned and before its
+        # future lands in ``done``; the next submit to that pool then
+        # raises.  The job it was handed never ran, so it is requeued
+        # without a strike and dispatched again on a fresh pool.
+        raised = []
+
+        class BreaksOnceAtSubmit(ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                if not raised:
+                    raised.append(True)
+                    raise BrokenProcessPool("a worker died")
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(
+            "repro.supervise.supervisor.ProcessPoolExecutor",
+            BreaksOnceAtSubmit,
+        )
+        supervisor = Supervisor(workers=2, policy=FAST)
+        outcomes = supervisor.run(_plus_300, [1, 2, 3])
+        assert raised == [True]
+        assert [o.result for o in outcomes] == [301, 302, 303]
+        assert [o.attempts for o in outcomes] == [1, 1, 1]
+        counters = supervisor.metrics.snapshot()["counters"]
+        assert counters["supervise.pool_restarts"] == 1
+        assert counters.get("supervise.crashes", 0) == 0
+        assert counters.get("supervise.retries", 0) == 0
 
 
 class TestTimeouts:
