@@ -30,45 +30,29 @@ Quickstart::
     print(avgs.latency_ns, avgs.throughput_per_sec)
 """
 
-from repro.core import (
-    AimdBatchLimiter,
-    E2EEstimator,
-    EstimateSample,
-    Ewma,
-    HintSession,
-    LatencyFirstPolicy,
-    MetadataExchange,
-    NagleToggler,
-    PerfSample,
-    QueueAverages,
-    QueueSnapshot,
-    QueueState,
-    ThroughputUnderSloPolicy,
-    TogglerConfig,
-    get_avgs,
-    try_get_avgs,
-)
-from repro.sim import Simulator
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AimdBatchLimiter",
-    "E2EEstimator",
-    "EstimateSample",
-    "Ewma",
-    "HintSession",
-    "LatencyFirstPolicy",
-    "MetadataExchange",
-    "NagleToggler",
-    "PerfSample",
-    "QueueAverages",
-    "QueueSnapshot",
-    "QueueState",
-    "Simulator",
-    "ThroughputUnderSloPolicy",
-    "TogglerConfig",
-    "get_avgs",
-    "try_get_avgs",
-    "__version__",
-]
+_EXPORTS = {
+    "AimdBatchLimiter": ".core.aimd",
+    "E2EEstimator": ".core.estimator",
+    "EstimateSample": ".core.estimator",
+    "Ewma": ".core.ewma",
+    "HintSession": ".core.hints",
+    "LatencyFirstPolicy": ".core.policy",
+    "MetadataExchange": ".core.exchange",
+    "NagleToggler": ".core.toggler",
+    "PerfSample": ".core.policy",
+    "QueueAverages": ".core.littles_law",
+    "QueueSnapshot": ".core.qstate",
+    "QueueState": ".core.qstate",
+    "ThroughputUnderSloPolicy": ".core.policy",
+    "TogglerConfig": ".core.toggler",
+    "get_avgs": ".core.littles_law",
+    "try_get_avgs": ".core.littles_law",
+    "Simulator": ".sim.loop",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)
+__all__.append("__version__")

@@ -14,37 +14,24 @@ machines and analyses them offline.  This package mirrors that:
   harness output.
 """
 
-from repro.analysis.counters import CounterCollector, CounterSample, TripleSnapshot
-from repro.analysis.cutoff import (
-    CurvePoint,
-    crossover_rate,
-    improvement_at,
-    max_sustainable_rate,
-    range_extension,
-)
-from repro.analysis.offline import (
-    OfflineEstimate,
-    estimate_between,
-    interval_series,
-    window_estimate,
-)
-from repro.analysis.plot import ascii_plot, curve_points
-from repro.analysis.report import format_table
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CounterCollector",
-    "CounterSample",
-    "CurvePoint",
-    "OfflineEstimate",
-    "TripleSnapshot",
-    "ascii_plot",
-    "crossover_rate",
-    "curve_points",
-    "estimate_between",
-    "format_table",
-    "improvement_at",
-    "interval_series",
-    "max_sustainable_rate",
-    "range_extension",
-    "window_estimate",
-]
+_EXPORTS = {
+    "CounterCollector": ".counters",
+    "CounterSample": ".counters",
+    "TripleSnapshot": ".counters",
+    "CurvePoint": ".cutoff",
+    "crossover_rate": ".cutoff",
+    "improvement_at": ".cutoff",
+    "max_sustainable_rate": ".cutoff",
+    "range_extension": ".cutoff",
+    "OfflineEstimate": ".offline",
+    "estimate_between": ".offline",
+    "interval_series": ".offline",
+    "window_estimate": ".offline",
+    "ascii_plot": ".plot",
+    "curve_points": ".plot",
+    "format_table": ".report",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -1,17 +1,13 @@
 """Closed-form models from the paper's motivation section."""
 
-from repro.analytic.batching_model import (
-    BatchingOutcome,
-    ScenarioParams,
-    compare,
-    simulate_batched,
-    simulate_unbatched,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BatchingOutcome",
-    "ScenarioParams",
-    "compare",
-    "simulate_batched",
-    "simulate_unbatched",
-]
+_EXPORTS = {
+    "BatchingOutcome": ".batching_model",
+    "ScenarioParams": ".batching_model",
+    "compare": ".batching_model",
+    "simulate_batched": ".batching_model",
+    "simulate_unbatched": ".batching_model",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

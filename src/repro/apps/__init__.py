@@ -13,33 +13,23 @@
   issue process plus a response-draining process (cost c per response).
 """
 
-from repro.apps.kvstore import KVStore
-from repro.apps.messages import Request, Response
-from repro.apps.redis_client import ClientConfig, RedisClient
-from repro.apps.redis_server import RedisServer, ServerConfig
-from repro.apps.resp import (
-    RespParser,
-    bulk_reply_bytes,
-    command_bytes,
-    encode_bulk_reply,
-    encode_command,
-    encode_simple_string,
-    simple_reply_bytes,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ClientConfig",
-    "KVStore",
-    "RedisClient",
-    "RedisServer",
-    "Request",
-    "RespParser",
-    "Response",
-    "ServerConfig",
-    "bulk_reply_bytes",
-    "command_bytes",
-    "encode_bulk_reply",
-    "encode_command",
-    "encode_simple_string",
-    "simple_reply_bytes",
-]
+_EXPORTS = {
+    "KVStore": ".kvstore",
+    "Request": ".messages",
+    "Response": ".messages",
+    "ClientConfig": ".redis_client",
+    "RedisClient": ".redis_client",
+    "RedisServer": ".redis_server",
+    "ServerConfig": ".redis_server",
+    "RespParser": ".resp",
+    "bulk_reply_bytes": ".resp",
+    "command_bytes": ".resp",
+    "encode_bulk_reply": ".resp",
+    "encode_command": ".resp",
+    "encode_simple_string": ".resp",
+    "simple_reply_bytes": ".resp",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -24,6 +24,8 @@ from typing import Iterable
 
 from repro.apps.messages import Request, Response
 from repro.errors import WorkloadError
+from repro.sim.events import Event
+from repro.sim.process import Timeout
 
 
 @dataclass(frozen=True)
@@ -99,8 +101,6 @@ class RedisClient:
     # ------------------------------------------------------------------
 
     def _issue(self, schedule):
-        from repro.sim.process import Timeout
-
         for when, request in schedule:
             if when < self._sim.now and not self.config.closed_loop:
                 # The schedule is behind the clock only if the app core
@@ -110,7 +110,7 @@ class RedisClient:
             elif when > self._sim.now:
                 yield Timeout(when - self._sim.now)
             if self.config.closed_loop and self.requests_sent > self.responses_received:
-                gate = self._sim_event()
+                gate = Event(self._sim, name=f"{self.name}.gate")
                 self._closed_loop_gate = gate
                 yield gate
             yield self.host.app_core.submit(
@@ -121,11 +121,6 @@ class RedisClient:
                 self.hint_session.create(1)
             self.requests_sent += 1
             self.socket.send(request, request.wire_bytes)
-
-    def _sim_event(self):
-        from repro.sim.events import Event
-
-        return Event(self._sim, name=f"{self.name}.gate")
 
     # ------------------------------------------------------------------
     # Drain side.

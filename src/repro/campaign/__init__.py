@@ -9,48 +9,30 @@ is a ``repro-importance-v1`` component leaderboard.  See
 ``docs/CAMPAIGNS.md`` for the spec reference.
 """
 
-from repro.campaign.engine import CampaignRun, build_cells, run_spec
-from repro.campaign.importance import compute_importance
-from repro.campaign.matrix import MatrixCell, RunMatrix, expand
-from repro.campaign.report import ImportanceReport
-from repro.campaign.schema import (
-    IMPORTANCE_SCHEMA,
-    SPEC_SCHEMA,
-    validate_importance_document,
-    validate_spec_document,
-)
-from repro.campaign.spec import (
-    SCENARIOS,
-    CampaignSpec,
-    ComponentSpec,
-    Scenario,
-    SweepSpec,
-    TweakSpec,
-    load_document,
-    load_spec,
-    parse_spec,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CampaignRun",
-    "CampaignSpec",
-    "ComponentSpec",
-    "IMPORTANCE_SCHEMA",
-    "ImportanceReport",
-    "MatrixCell",
-    "RunMatrix",
-    "SCENARIOS",
-    "SPEC_SCHEMA",
-    "Scenario",
-    "SweepSpec",
-    "TweakSpec",
-    "build_cells",
-    "compute_importance",
-    "expand",
-    "load_document",
-    "load_spec",
-    "parse_spec",
-    "run_spec",
-    "validate_importance_document",
-    "validate_spec_document",
-]
+_EXPORTS = {
+    "CampaignRun": ".engine",
+    "build_cells": ".engine",
+    "run_spec": ".engine",
+    "compute_importance": ".importance",
+    "MatrixCell": ".matrix",
+    "RunMatrix": ".matrix",
+    "expand": ".matrix",
+    "ImportanceReport": ".report",
+    "IMPORTANCE_SCHEMA": ".schema",
+    "SPEC_SCHEMA": ".schema",
+    "validate_importance_document": ".schema",
+    "validate_spec_document": ".schema",
+    "SCENARIOS": ".spec",
+    "CampaignSpec": ".spec",
+    "ComponentSpec": ".spec",
+    "Scenario": ".spec",
+    "SweepSpec": ".spec",
+    "TweakSpec": ".spec",
+    "load_document": ".spec",
+    "load_spec": ".spec",
+    "parse_spec": ".spec",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -21,52 +21,34 @@ Estimation* (HotOS'25):
   toggler, and the AIMD batch-limit controller (§5).
 """
 
-from repro.core.aimd import AimdBatchLimiter
-from repro.core.estimator import E2EEstimator, EstimateSample, QueueDelays
-from repro.core.ewma import Ewma
-from repro.core.exchange import MetadataExchange, WirePeerState, WireQueueState
-from repro.core.hints import HintSession
-from repro.core.littles_law import QueueAverages, get_avgs, try_get_avgs
-from repro.core.policy import (
-    BatchingPolicy,
-    LatencyFirstPolicy,
-    PerfSample,
-    ThroughputUnderSloPolicy,
-)
-from repro.core.qstate import QueueSnapshot, QueueState
-from repro.core.semantic import (
-    ByteUnits,
-    HintUnits,
-    MessageUnits,
-    PacketUnits,
-    SyscallUnits,
-)
-from repro.core.toggler import NagleToggler, TogglerConfig
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AimdBatchLimiter",
-    "BatchingPolicy",
-    "ByteUnits",
-    "E2EEstimator",
-    "EstimateSample",
-    "Ewma",
-    "HintSession",
-    "HintUnits",
-    "LatencyFirstPolicy",
-    "MessageUnits",
-    "MetadataExchange",
-    "NagleToggler",
-    "PacketUnits",
-    "PerfSample",
-    "QueueAverages",
-    "QueueDelays",
-    "QueueSnapshot",
-    "QueueState",
-    "SyscallUnits",
-    "ThroughputUnderSloPolicy",
-    "TogglerConfig",
-    "WirePeerState",
-    "WireQueueState",
-    "get_avgs",
-    "try_get_avgs",
-]
+_EXPORTS = {
+    "AimdBatchLimiter": ".aimd",
+    "E2EEstimator": ".estimator",
+    "EstimateSample": ".estimator",
+    "QueueDelays": ".estimator",
+    "Ewma": ".ewma",
+    "MetadataExchange": ".exchange",
+    "WirePeerState": ".exchange",
+    "WireQueueState": ".exchange",
+    "HintSession": ".hints",
+    "QueueAverages": ".littles_law",
+    "get_avgs": ".littles_law",
+    "try_get_avgs": ".littles_law",
+    "BatchingPolicy": ".policy",
+    "LatencyFirstPolicy": ".policy",
+    "PerfSample": ".policy",
+    "ThroughputUnderSloPolicy": ".policy",
+    "QueueSnapshot": ".qstate",
+    "QueueState": ".qstate",
+    "ByteUnits": ".semantic",
+    "HintUnits": ".semantic",
+    "MessageUnits": ".semantic",
+    "PacketUnits": ".semantic",
+    "SyscallUnits": ".semantic",
+    "NagleToggler": ".toggler",
+    "TogglerConfig": ".toggler",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

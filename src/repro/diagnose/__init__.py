@@ -31,35 +31,24 @@ injector's own narration — the ground truth the scoring compares
 against — and consuming them would make every detection circular.
 """
 
-from repro.diagnose.classifier import StreamingClassifier, diagnose_records
-from repro.diagnose.follow import follow_trace
-from repro.diagnose.hook import DiagnosisHook
-from repro.diagnose.report import (
-    ConnectionVerdict,
-    DiagnosisReport,
-    Finding,
-    RunReport,
-    SCHEMA,
-    render_report,
-)
-from repro.diagnose.rules import DiagnosisConfig, FINDING_CLASSES
-from repro.diagnose.schema import require_valid_report, validate_report
-from repro.diagnose.scoring import score_report
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ConnectionVerdict",
-    "DiagnosisConfig",
-    "DiagnosisHook",
-    "DiagnosisReport",
-    "FINDING_CLASSES",
-    "Finding",
-    "RunReport",
-    "SCHEMA",
-    "StreamingClassifier",
-    "diagnose_records",
-    "follow_trace",
-    "render_report",
-    "require_valid_report",
-    "score_report",
-    "validate_report",
-]
+_EXPORTS = {
+    "StreamingClassifier": ".classifier",
+    "diagnose_records": ".classifier",
+    "follow_trace": ".follow",
+    "DiagnosisHook": ".hook",
+    "ConnectionVerdict": ".report",
+    "DiagnosisReport": ".report",
+    "Finding": ".report",
+    "RunReport": ".report",
+    "SCHEMA": ".report",
+    "render_report": ".report",
+    "DiagnosisConfig": ".rules",
+    "FINDING_CLASSES": ".rules",
+    "require_valid_report": ".schema",
+    "validate_report": ".schema",
+    "score_report": ".scoring",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

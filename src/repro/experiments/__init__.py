@@ -6,42 +6,31 @@ the same rows/series the paper reports.  See DESIGN.md's per-experiment
 index (E1-E5, A1-A6).
 """
 
-from repro.experiments.decomposition import DecompositionResult, run_decomposition
-from repro.experiments.fanin import (
-    FaninConfig,
-    FaninResult,
-    run_fanin,
-    run_fanin_many,
-)
-from repro.experiments.faults import ChaosPoint, ChaosResult, run_faults
-from repro.experiments.fig1 import Fig1Result, run_fig1
-from repro.experiments.fig2 import Fig2Result, run_fig2
-from repro.experiments.fig4a import Fig4aResult, run_fig4a
-from repro.experiments.fig4b import Fig4bResult, run_fig4b
-from repro.experiments.tail import TailResult, run_tail
-from repro.experiments.timevarying import PhasePlan, TimeVaryingResult, run_timevarying
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ChaosPoint",
-    "ChaosResult",
-    "DecompositionResult",
-    "FaninConfig",
-    "FaninResult",
-    "Fig1Result",
-    "Fig2Result",
-    "Fig4aResult",
-    "Fig4bResult",
-    "PhasePlan",
-    "TailResult",
-    "TimeVaryingResult",
-    "run_decomposition",
-    "run_fanin",
-    "run_fanin_many",
-    "run_faults",
-    "run_fig1",
-    "run_fig2",
-    "run_fig4a",
-    "run_fig4b",
-    "run_tail",
-    "run_timevarying",
-]
+_EXPORTS = {
+    "DecompositionResult": ".decomposition",
+    "run_decomposition": ".decomposition",
+    "FaninConfig": ".fanin",
+    "FaninResult": ".fanin",
+    "run_fanin": ".fanin",
+    "run_fanin_many": ".fanin",
+    "ChaosPoint": ".faults",
+    "ChaosResult": ".faults",
+    "run_faults": ".faults",
+    "Fig1Result": ".fig1",
+    "run_fig1": ".fig1",
+    "Fig2Result": ".fig2",
+    "run_fig2": ".fig2",
+    "Fig4aResult": ".fig4a",
+    "run_fig4a": ".fig4a",
+    "Fig4bResult": ".fig4b",
+    "run_fig4b": ".fig4b",
+    "TailResult": ".tail",
+    "run_tail": ".tail",
+    "PhasePlan": ".timevarying",
+    "TimeVaryingResult": ".timevarying",
+    "run_timevarying": ".timevarying",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -23,7 +23,6 @@ from repro.apps.redis_client import ClientConfig
 from repro.host.host import HostCosts
 from repro.loadgen.lancet import BenchConfig, RunResult
 from repro.loadgen.stats import summarize
-from repro.parallel import run_campaign
 from repro.units import msecs, to_usecs
 
 FIXED_RATE = 20_000.0
@@ -150,6 +149,9 @@ def run_fig2(seeds: tuple[int, ...] = DEFAULT_SEEDS,
     :class:`repro.diagnose.DiagnosisHook`; requires ``tracer``) scores
     each cell's trace segment as it completes.
     """
+    # A testbed run that only wants ``fig2_config`` never loads the pool.
+    from repro.parallel import run_campaign
+
     grid = [(vm, nagle) for vm in (False, True) for nagle in (False, True)]
     configs = [
         fig2_config(vm, nagle, seed, measure_ns)

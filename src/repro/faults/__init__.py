@@ -10,40 +10,24 @@ support is zero-cost when off, and runs without faults are byte-
 identical to builds without this package.
 """
 
-from repro.faults.injector import (
-    DROP,
-    EpisodeLog,
-    ExchangeFaultHook,
-    FaultInjector,
-    LinkFaultHook,
-    NicFaultHook,
-)
-from repro.faults.plan import (
-    FAULT_PLANS,
-    DelayJitter,
-    ExchangeFaults,
-    FaultPlan,
-    GilbertElliott,
-    LinkFlap,
-    NicFaults,
-    ReceiverStall,
-    named_plan,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DROP",
-    "DelayJitter",
-    "EpisodeLog",
-    "ExchangeFaultHook",
-    "ExchangeFaults",
-    "FAULT_PLANS",
-    "FaultInjector",
-    "FaultPlan",
-    "GilbertElliott",
-    "LinkFaultHook",
-    "LinkFlap",
-    "NicFaultHook",
-    "NicFaults",
-    "ReceiverStall",
-    "named_plan",
-]
+_EXPORTS = {
+    "DROP": ".injector",
+    "EpisodeLog": ".injector",
+    "ExchangeFaultHook": ".injector",
+    "FaultInjector": ".injector",
+    "LinkFaultHook": ".injector",
+    "NicFaultHook": ".injector",
+    "FAULT_PLANS": ".plan",
+    "DelayJitter": ".plan",
+    "ExchangeFaults": ".plan",
+    "FaultPlan": ".plan",
+    "GilbertElliott": ".plan",
+    "LinkFlap": ".plan",
+    "NicFaults": ".plan",
+    "ReceiverStall": ".plan",
+    "named_plan": ".plan",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

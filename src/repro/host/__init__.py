@@ -13,8 +13,13 @@ This package models exactly that:
   plus the cost-model knobs for a machine.
 """
 
-from repro.host.cpu import CpuCore
-from repro.host.host import Host, HostCosts
-from repro.host.irq import SoftIrq
+from repro._lazy import lazy_exports
 
-__all__ = ["CpuCore", "Host", "HostCosts", "SoftIrq"]
+_EXPORTS = {
+    "CpuCore": ".cpu",
+    "Host": ".host",
+    "HostCosts": ".host",
+    "SoftIrq": ".irq",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

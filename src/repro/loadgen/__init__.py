@@ -11,32 +11,24 @@
   configurations (the Figure 4 x-axis).
 """
 
-from repro.loadgen.arrivals import Workload, poisson_schedule, uniform_schedule
-from repro.loadgen.lancet import BenchConfig, RunResult, run_benchmark
-from repro.loadgen.stats import LatencySummary, summarize
-from repro.loadgen.sweep import SweepPoint, sweep_rates
-from repro.loadgen.trace import (
-    TraceEntry,
-    load_trace,
-    record_schedule,
-    save_trace,
-    trace_schedule,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BenchConfig",
-    "LatencySummary",
-    "RunResult",
-    "SweepPoint",
-    "TraceEntry",
-    "Workload",
-    "load_trace",
-    "poisson_schedule",
-    "record_schedule",
-    "run_benchmark",
-    "save_trace",
-    "summarize",
-    "sweep_rates",
-    "trace_schedule",
-    "uniform_schedule",
-]
+_EXPORTS = {
+    "Workload": ".arrivals",
+    "poisson_schedule": ".arrivals",
+    "uniform_schedule": ".arrivals",
+    "BenchConfig": ".lancet",
+    "RunResult": ".lancet",
+    "run_benchmark": ".lancet",
+    "LatencySummary": ".stats",
+    "summarize": ".stats",
+    "SweepPoint": ".sweep",
+    "sweep_rates": ".sweep",
+    "TraceEntry": ".trace",
+    "load_trace": ".trace",
+    "record_schedule": ".trace",
+    "save_trace": ".trace",
+    "trace_schedule": ".trace",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

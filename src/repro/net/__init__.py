@@ -13,17 +13,16 @@ paper's batching discussion depends on:
   (:mod:`~repro.net.topology`).
 """
 
-from repro.net.link import Link
-from repro.net.nic import Nic, NicConfig
-from repro.net.packet import ETHERNET_OVERHEAD, TCPIP_HEADER, Packet
-from repro.net.topology import PointToPoint
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ETHERNET_OVERHEAD",
-    "Link",
-    "Nic",
-    "NicConfig",
-    "Packet",
-    "PointToPoint",
-    "TCPIP_HEADER",
-]
+_EXPORTS = {
+    "Link": ".link",
+    "Nic": ".nic",
+    "NicConfig": ".nic",
+    "ETHERNET_OVERHEAD": ".packet",
+    "TCPIP_HEADER": ".packet",
+    "Packet": ".packet",
+    "PointToPoint": ".topology",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

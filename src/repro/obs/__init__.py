@@ -28,59 +28,35 @@ emit sites cost one attribute read, draw no randomness, and schedule no
 events.
 """
 
-from repro.obs.instrument import TraceInstrument, attach_deep_tracing
-from repro.obs.log import NULL_LOG, ProgressLog
-from repro.obs.metrics import (
-    METRICS_SCHEMA,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    collect_run_metrics,
-)
-from repro.obs.schema import (
-    RECORD_TYPES,
-    SCHEMA,
-    require_valid_stream,
-    validate_record,
-    validate_stream,
-)
-from repro.obs.report import filter_records, render_summary, summarize_records
-from repro.obs.sinks import (
-    JsonlSink,
-    JsonlTail,
-    ListSink,
-    RingSink,
-    iter_records,
-    read_jsonl,
-)
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "JsonlSink",
-    "JsonlTail",
-    "ListSink",
-    "METRICS_SCHEMA",
-    "MetricsRegistry",
-    "NULL_LOG",
-    "NULL_TRACER",
-    "ProgressLog",
-    "RECORD_TYPES",
-    "RingSink",
-    "SCHEMA",
-    "TraceInstrument",
-    "Tracer",
-    "attach_deep_tracing",
-    "collect_run_metrics",
-    "filter_records",
-    "iter_records",
-    "render_summary",
-    "summarize_records",
-    "read_jsonl",
-    "require_valid_stream",
-    "validate_record",
-    "validate_stream",
-]
+_EXPORTS = {
+    "TraceInstrument": ".instrument",
+    "attach_deep_tracing": ".instrument",
+    "NULL_LOG": ".log",
+    "ProgressLog": ".log",
+    "METRICS_SCHEMA": ".metrics",
+    "Counter": ".metrics",
+    "Gauge": ".metrics",
+    "Histogram": ".metrics",
+    "MetricsRegistry": ".metrics",
+    "collect_run_metrics": ".metrics",
+    "RECORD_TYPES": ".schema",
+    "SCHEMA": ".schema",
+    "require_valid_stream": ".schema",
+    "validate_record": ".schema",
+    "validate_stream": ".schema",
+    "filter_records": ".report",
+    "render_summary": ".report",
+    "summarize_records": ".report",
+    "JsonlSink": ".sinks",
+    "JsonlTail": ".sinks",
+    "ListSink": ".sinks",
+    "RingSink": ".sinks",
+    "iter_records": ".sinks",
+    "read_jsonl": ".sinks",
+    "NULL_TRACER": ".tracer",
+    "Tracer": ".tracer",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -9,62 +9,34 @@ runaway, transient vs persistent), producing the canonical
 the recipes and :mod:`repro.remedy.engine` for the firing rules.
 """
 
-from repro.remedy.engine import RemedyEngine
-from repro.remedy.playbooks import (
-    CONFIRM_ENVIRONMENT,
-    DEFAULT_BUDGET,
-    ISOLATE_AND_RERUN,
-    PLAYBOOKS,
-    RELAX_WATCHDOG,
-    WATCHDOG_SLACK,
-    FlaggedJob,
-    Playbook,
-    ProbeOutcome,
-    ProbeRun,
-    QuarantinedJob,
-    load_playbook_config,
-    resolve_playbooks,
-    result_digest,
-)
-from repro.remedy.report import (
-    SCHEMA,
-    TRIGGER_FINDING,
-    TRIGGER_QUARANTINE,
-    TRIGGERS,
-    VERDICTS,
-    RemediationReport,
-    RemedyAction,
-    render_report,
-)
-from repro.remedy.schema import (
-    require_valid_remediation_report,
-    validate_remediation_report,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RemedyEngine",
-    "Playbook",
-    "PLAYBOOKS",
-    "CONFIRM_ENVIRONMENT",
-    "RELAX_WATCHDOG",
-    "ISOLATE_AND_RERUN",
-    "DEFAULT_BUDGET",
-    "WATCHDOG_SLACK",
-    "FlaggedJob",
-    "QuarantinedJob",
-    "ProbeRun",
-    "ProbeOutcome",
-    "load_playbook_config",
-    "resolve_playbooks",
-    "result_digest",
-    "RemediationReport",
-    "RemedyAction",
-    "render_report",
-    "SCHEMA",
-    "VERDICTS",
-    "TRIGGERS",
-    "TRIGGER_FINDING",
-    "TRIGGER_QUARANTINE",
-    "validate_remediation_report",
-    "require_valid_remediation_report",
-]
+_EXPORTS = {
+    "RemedyEngine": ".engine",
+    "CONFIRM_ENVIRONMENT": ".playbooks",
+    "DEFAULT_BUDGET": ".playbooks",
+    "ISOLATE_AND_RERUN": ".playbooks",
+    "PLAYBOOKS": ".playbooks",
+    "RELAX_WATCHDOG": ".playbooks",
+    "WATCHDOG_SLACK": ".playbooks",
+    "FlaggedJob": ".playbooks",
+    "Playbook": ".playbooks",
+    "ProbeOutcome": ".playbooks",
+    "ProbeRun": ".playbooks",
+    "QuarantinedJob": ".playbooks",
+    "load_playbook_config": ".playbooks",
+    "resolve_playbooks": ".playbooks",
+    "result_digest": ".playbooks",
+    "SCHEMA": ".report",
+    "TRIGGER_FINDING": ".report",
+    "TRIGGER_QUARANTINE": ".report",
+    "TRIGGERS": ".report",
+    "VERDICTS": ".report",
+    "RemediationReport": ".report",
+    "RemedyAction": ".report",
+    "render_report": ".report",
+    "require_valid_remediation_report": ".schema",
+    "validate_remediation_report": ".schema",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -19,15 +19,15 @@ single counter.
   the standard event-loop process.
 """
 
-from repro.rpc.channel import RpcCallFuture, RpcChannel
-from repro.rpc.framing import FRAME_HEADER_BYTES, frame_bytes
-from repro.rpc.server import RpcMethod, RpcServer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FRAME_HEADER_BYTES",
-    "RpcCallFuture",
-    "RpcChannel",
-    "RpcMethod",
-    "RpcServer",
-    "frame_bytes",
-]
+_EXPORTS = {
+    "RpcCallFuture": ".channel",
+    "RpcChannel": ".channel",
+    "FRAME_HEADER_BYTES": ".framing",
+    "frame_bytes": ".framing",
+    "RpcMethod": ".server",
+    "RpcServer": ".server",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -10,32 +10,21 @@ killed service restarts, resumes in-flight campaigns, and finishes with
 reports byte-identical to an uninterrupted run.
 """
 
-from repro.service.daemon import ReproService, ServiceConfig, campaign_id
-from repro.service.http import StatusServer
-from repro.service.schema import (
-    HEARTBEAT_FILE,
-    JOURNAL_FILE,
-    SERVICE_SCHEMA,
-    STATUSES,
-    validate_journal_record,
-)
-from repro.service.state import (
-    ServiceJournal,
-    read_heartbeat,
-    write_heartbeat,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ReproService",
-    "ServiceConfig",
-    "StatusServer",
-    "ServiceJournal",
-    "campaign_id",
-    "read_heartbeat",
-    "write_heartbeat",
-    "SERVICE_SCHEMA",
-    "STATUSES",
-    "JOURNAL_FILE",
-    "HEARTBEAT_FILE",
-    "validate_journal_record",
-]
+_EXPORTS = {
+    "ReproService": ".daemon",
+    "ServiceConfig": ".daemon",
+    "campaign_id": ".daemon",
+    "StatusServer": ".http",
+    "HEARTBEAT_FILE": ".schema",
+    "JOURNAL_FILE": ".schema",
+    "SERVICE_SCHEMA": ".schema",
+    "STATUSES": ".schema",
+    "validate_journal_record": ".schema",
+    "ServiceJournal": ".state",
+    "read_heartbeat": ".state",
+    "write_heartbeat": ".state",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -15,18 +15,16 @@ of SimPy, written from scratch for this reproduction.  The pieces:
 - :mod:`~repro.sim.rng` — named, seeded random streams for reproducibility.
 """
 
-from repro.sim.events import Event
-from repro.sim.loop import Simulator
-from repro.sim.process import Process, Timeout
-from repro.sim.resources import Resource, Store
-from repro.sim.rng import RngRegistry
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Event",
-    "Process",
-    "Resource",
-    "RngRegistry",
-    "Simulator",
-    "Store",
-    "Timeout",
-]
+_EXPORTS = {
+    "Event": ".events",
+    "Simulator": ".loop",
+    "Process": ".process",
+    "Timeout": ".process",
+    "Resource": ".resources",
+    "Store": ".resources",
+    "RngRegistry": ".rng",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -22,40 +22,24 @@ and the CLI only thread :class:`SupervisePolicy` / checkpoint
 directories through.
 """
 
-from repro.supervise.checkpoint import (
-    CHECKPOINT_SCHEMA,
-    CheckpointStore,
-    derive_keys,
-    job_key,
-    volatile_key,
-)
-from repro.supervise.outcome import (
-    KIND_CRASH,
-    KIND_ERROR,
-    KIND_TIMEOUT,
-    JobFailure,
-    JobOutcome,
-    JobSuccess,
-    split_outcomes,
-)
-from repro.supervise.policy import SupervisePolicy
-from repro.supervise.supervisor import Supervisor
-from repro.supervise.watchdog import Watchdog
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CHECKPOINT_SCHEMA",
-    "CheckpointStore",
-    "derive_keys",
-    "job_key",
-    "volatile_key",
-    "KIND_CRASH",
-    "KIND_ERROR",
-    "KIND_TIMEOUT",
-    "JobFailure",
-    "JobOutcome",
-    "JobSuccess",
-    "split_outcomes",
-    "SupervisePolicy",
-    "Supervisor",
-    "Watchdog",
-]
+_EXPORTS = {
+    "CHECKPOINT_SCHEMA": ".checkpoint",
+    "CheckpointStore": ".checkpoint",
+    "derive_keys": ".checkpoint",
+    "job_key": ".checkpoint",
+    "volatile_key": ".checkpoint",
+    "KIND_CRASH": ".outcome",
+    "KIND_ERROR": ".outcome",
+    "KIND_TIMEOUT": ".outcome",
+    "JobFailure": ".outcome",
+    "JobOutcome": ".outcome",
+    "JobSuccess": ".outcome",
+    "split_outcomes": ".outcome",
+    "SupervisePolicy": ".policy",
+    "Supervisor": ".supervisor",
+    "Watchdog": ".watchdog",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

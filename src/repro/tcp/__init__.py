@@ -19,8 +19,13 @@ on, at byte-stream granularity over the :mod:`repro.net` substrate:
   (:mod:`~repro.tcp.instrumentation`).
 """
 
-from repro.tcp.connect import connect_pair
-from repro.tcp.segment import Segment
-from repro.tcp.socket import TcpConfig, TcpSocket
+from repro._lazy import lazy_exports
 
-__all__ = ["Segment", "TcpConfig", "TcpSocket", "connect_pair"]
+_EXPORTS = {
+    "connect_pair": ".connect",
+    "Segment": ".segment",
+    "TcpConfig": ".socket",
+    "TcpSocket": ".socket",
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

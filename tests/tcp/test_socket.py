@@ -301,6 +301,46 @@ class TestLossRecovery:
         sim.run(until=60 * SECOND)
         assert a.cc.losses > 0
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "known defect: _rtx_expired clears _rtx_timer, _transmit arms "
+            "a timer, then _rtx_expired arms a second one and orphans the "
+            "first while it is live; both fire at the next expiry, which "
+            "retransmits and backs off twice"
+        ),
+    )
+    def test_one_live_timer_and_one_backoff_per_expiry(self, sim):
+        _, _, a, _ = PairFactory(sim).build(
+            loss_probability=0.99, loss_rng=RngRegistry(11).stream("loss"),
+        )
+        backoffs = []
+        backoff = a.rtt.backoff
+
+        def counted_backoff():
+            backoff()
+            backoffs.append((sim.now, a.rtt.rto_ns))
+
+        a.rtt.backoff = counted_backoff
+        live = []
+
+        def count_live_timers():
+            live.append(
+                sum(1 for entry in sim._heap if entry[2] == a._rtx_expired)
+            )
+
+        ms = 1_000_000
+        for t in range(50 * ms, 4_000 * ms, 50 * ms):
+            sim.call_at(t + 1, count_live_timers)
+        a.send("bulk", 1_000)
+        sim.run(until=4 * SECOND)
+        assert max(live) == 1
+        # The 200 ms initial RTO doubles once at each expiry.
+        assert backoffs == [
+            (200 * ms, 400 * ms), (600 * ms, 800 * ms),
+            (1_400 * ms, 1_600 * ms), (3_000 * ms, 3_200 * ms),
+        ]
+
 
 class TestIdleRestart:
     def test_idle_connection_restarts_slow_start(self, sim, pair_factory):
