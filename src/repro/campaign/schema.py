@@ -15,20 +15,18 @@ check documents against the tables below, and ``tools/check_docs.py``
 regenerates the field tables embedded in ``docs/CAMPAIGNS.md`` from the
 same structures, so the documentation cannot drift from the code.
 
-Field specs are ``name -> (types, default, description)`` where
-``types`` is a python type or tuple of admissible types (``type(None)``
-marks the field nullable) and ``default`` is :data:`REQUIRED` for
-mandatory fields, else the documented default value rendered into the
-spec reference.
+Both are field tables as :mod:`repro._fields` reads them.  Spec
+sections add a default column, ``name -> (types, default, description)``,
+where ``default`` is :data:`REQUIRED` for mandatory fields, else the
+documented default value rendered into the spec reference.
 """
 
 from __future__ import annotations
 
+from repro._fields import REQUIRED, check_fields
+
 SPEC_SCHEMA = "repro-campaign-v1"
 IMPORTANCE_SCHEMA = "repro-importance-v1"
-
-#: Sentinel default: the field must be present in the document.
-REQUIRED = "(required)"
 
 #: The matrix variant families, in canonical expansion order.
 MATRIX_FAMILIES = ("baseline", "all_on", "all_but_one", "only_one")
@@ -217,48 +215,6 @@ IMPORTANCE_DOCUMENT: dict[str, dict] = {
 }
 
 
-def _type_name(expected) -> str:
-    if isinstance(expected, tuple):
-        return " | ".join(_type_name(e) for e in expected)
-    if expected is type(None):
-        return "null"
-    return expected.__name__
-
-
-def _check_fields(
-    obj: dict, fields: dict, where: str, problems: list[str],
-    defaults: bool = True,
-) -> None:
-    """Validate one object against a section's field table."""
-    for name, spec in fields.items():
-        if defaults:
-            expected, default, _ = spec
-            required = default is REQUIRED
-        else:
-            expected, _ = spec
-            required = True
-        if name not in obj:
-            if required:
-                problems.append(f"{where}: missing required field {name!r}")
-            continue
-        value = obj[name]
-        types = expected if isinstance(expected, tuple) else (expected,)
-        # bool is an int subclass; reject it where int is expected.
-        if isinstance(value, bool) and bool not in types:
-            problems.append(
-                f"{where}: field {name!r} must be {_type_name(expected)}, "
-                f"got bool"
-            )
-        elif not isinstance(value, types):
-            problems.append(
-                f"{where}: field {name!r} must be {_type_name(expected)}, "
-                f"got {type(value).__name__}"
-            )
-    for name in obj:
-        if name not in fields:
-            problems.append(f"{where}: unknown field {name!r}")
-
-
 def validate_spec_document(document) -> list[str]:
     """Structural problems with a spec document (empty when valid).
 
@@ -268,10 +224,9 @@ def validate_spec_document(document) -> list[str]:
     :func:`repro.campaign.spec.parse_spec`, which needs the scenario
     registry.
     """
-    problems: list[str] = []
+    problems = check_fields(document, SPEC_SECTIONS["spec"]["fields"], "spec")
     if not isinstance(document, dict):
-        return [f"spec must be an object, got {type(document).__name__}"]
-    _check_fields(document, SPEC_SECTIONS["spec"]["fields"], "spec", problems)
+        return problems
     if document.get("schema") not in (None, SPEC_SCHEMA):
         problems.append(
             f"spec: schema must be {SPEC_SCHEMA!r}, "
@@ -284,12 +239,8 @@ def validate_spec_document(document) -> list[str]:
         if not isinstance(entries, list):
             continue  # already reported by the type check above
         for index, entry in enumerate(entries):
-            where = f"{key}[{index}]"
-            if not isinstance(entry, dict):
-                problems.append(f"{where}: must be an object")
-                continue
-            _check_fields(
-                entry, SPEC_SECTIONS[section]["fields"], where, problems
+            problems += check_fields(
+                entry, SPEC_SECTIONS[section]["fields"], f"{key}[{index}]"
             )
     matrix = document.get("matrix")
     if isinstance(matrix, list):
@@ -326,13 +277,11 @@ def validate_spec_document(document) -> list[str]:
 
 def validate_importance_document(document) -> list[str]:
     """Structural problems with an importance report (empty when valid)."""
-    problems: list[str] = []
-    if not isinstance(document, dict):
-        return [f"report must be an object, got {type(document).__name__}"]
-    _check_fields(
-        document, IMPORTANCE_DOCUMENT["report"]["fields"], "report",
-        problems, defaults=False,
+    problems = check_fields(
+        document, IMPORTANCE_DOCUMENT["report"]["fields"], "report"
     )
+    if not isinstance(document, dict):
+        return problems
     if document.get("schema") != IMPORTANCE_SCHEMA:
         problems.append(
             f"report: schema must be {IMPORTANCE_SCHEMA!r}, "
@@ -343,29 +292,21 @@ def validate_importance_document(document) -> list[str]:
     if isinstance(components, list):
         for index, entry in enumerate(components):
             where = f"components[{index}]"
-            if not isinstance(entry, dict):
-                problems.append(f"{where}: must be an object")
-                continue
-            _check_fields(
-                entry, IMPORTANCE_DOCUMENT["component"]["fields"], where,
-                problems, defaults=False,
+            problems += check_fields(
+                entry, IMPORTANCE_DOCUMENT["component"]["fields"], where
             )
-            per_metric = entry.get("metrics", {})
-            if not isinstance(per_metric, dict):
+            cells = entry.get("metrics") if isinstance(entry, dict) else None
+            if not isinstance(cells, dict):
                 continue
-            for metric, cell in per_metric.items():
+            for metric, cell in cells.items():
                 if isinstance(metrics, list) and metric not in metrics:
                     problems.append(
                         f"{where}: metric {metric!r} not in the report's "
                         f"metric list"
                     )
-                if not isinstance(cell, dict):
-                    problems.append(f"{where}.metrics[{metric!r}]: "
-                                    f"must be an object")
-                    continue
-                _check_fields(
+                problems += check_fields(
                     cell, IMPORTANCE_DOCUMENT["metric-entry"]["fields"],
-                    f"{where}.metrics[{metric!r}]", problems, defaults=False,
+                    f"{where}.metrics[{metric!r}]",
                 )
     ranking = document.get("ranking")
     if isinstance(ranking, list) and isinstance(components, list):
@@ -379,14 +320,3 @@ def validate_importance_document(document) -> list[str]:
                 "names"
             )
     return problems
-
-
-def require_valid_importance(document) -> None:
-    """Raise :class:`~repro.errors.CampaignSpecError` on an invalid report."""
-    from repro.errors import CampaignSpecError
-
-    problems = validate_importance_document(document)
-    if problems:
-        raise CampaignSpecError(
-            f"invalid {IMPORTANCE_SCHEMA} document: " + "; ".join(problems)
-        )

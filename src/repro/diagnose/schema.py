@@ -9,6 +9,7 @@ structure, so documentation cannot drift from code.
 
 from __future__ import annotations
 
+from repro._fields import check_fields, require_valid
 from repro.diagnose.rules import FINDING_CLASSES, LIMIT_IDLE, LIMIT_NETWORK, \
     LIMIT_RECEIVER, LIMIT_SENDER
 from repro.diagnose.report import SCHEMA
@@ -16,9 +17,8 @@ from repro.errors import DiagnosisError
 
 _LIMIT_LABELS = (LIMIT_SENDER, LIMIT_NETWORK, LIMIT_RECEIVER, LIMIT_IDLE)
 
-#: The document layout, one table per JSON object kind, in render order.
-#: Field specs are ``name -> (python type(s), description)`` exactly as
-#: in :data:`repro.obs.schema.RECORD_TYPES`.
+#: The document layout, one field table per JSON object kind, in render
+#: order, as :mod:`repro._fields` reads them.
 DOCUMENT: dict[str, dict] = {
     "report": {
         "doc": "Top-level document emitted by ``repro diagnose --json``.",
@@ -92,33 +92,6 @@ DOCUMENT: dict[str, dict] = {
 }
 
 
-def _check(value, expected) -> bool:
-    if isinstance(expected, tuple):
-        return isinstance(value, expected)
-    if expected is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    return isinstance(value, expected)
-
-
-def _check_object(obj, kind: str, where: str) -> list[str]:
-    problems: list[str] = []
-    if not isinstance(obj, dict):
-        return [f"{where}: must be an object, got {type(obj).__name__}"]
-    fields = DOCUMENT[kind]["fields"]
-    for name, (expected, _) in fields.items():
-        if name not in obj:
-            problems.append(f"{where}: missing field {name!r}")
-        elif not _check(obj[name], expected):
-            problems.append(
-                f"{where}: field {name!r} has wrong type "
-                f"{type(obj[name]).__name__}"
-            )
-    extras = set(obj) - set(fields)
-    if extras:
-        problems.append(f"{where}: unexpected fields {sorted(extras)}")
-    return problems
-
-
 def validate_report(document) -> list[str]:
     """Check a parsed report document; return a list of problems.
 
@@ -126,7 +99,7 @@ def validate_report(document) -> list[str]:
     report.  Checks structure, field types, enum values, and internal
     consistency (summary counts match the runs they summarize).
     """
-    problems = _check_object(document, "report", "report")
+    problems = check_fields(document, DOCUMENT["report"]["fields"], "report")
     if problems:
         return problems
     if document["schema"] != SCHEMA:
@@ -137,21 +110,25 @@ def validate_report(document) -> list[str]:
     total_connections = 0
     for rindex, run in enumerate(document["runs"]):
         where = f"runs[{rindex}]"
-        problems.extend(_check_object(run, "run", where))
+        problems.extend(check_fields(run, DOCUMENT["run"]["fields"], where))
         if problems:
             continue
         if run["end_ns"] < run["start_ns"]:
             problems.append(f"{where}: end_ns precedes start_ns")
         for cindex, conn in enumerate(run["connections"]):
             cwhere = f"{where}.connections[{cindex}]"
-            problems.extend(_check_object(conn, "connection", cwhere))
+            problems.extend(
+                check_fields(conn, DOCUMENT["connection"]["fields"], cwhere)
+            )
             if not problems and conn["verdict"] not in _LIMIT_LABELS:
                 problems.append(
                     f"{cwhere}: unknown verdict {conn['verdict']!r}"
                 )
         for findex, finding in enumerate(run["findings"]):
             fwhere = f"{where}.findings[{findex}]"
-            problems.extend(_check_object(finding, "finding", fwhere))
+            problems.extend(
+                check_fields(finding, DOCUMENT["finding"]["fields"], fwhere)
+            )
             if not problems and finding["class"] not in FINDING_CLASSES:
                 problems.append(
                     f"{fwhere}: unknown class {finding['class']!r}"
@@ -159,7 +136,9 @@ def validate_report(document) -> list[str]:
         total_findings += len(run["findings"])
         total_connections += len(run["connections"])
     summary = document["summary"]
-    problems.extend(_check_object(summary, "summary", "summary"))
+    problems.extend(
+        check_fields(summary, DOCUMENT["summary"]["fields"], "summary")
+    )
     if not problems:
         if summary["runs"] != len(document["runs"]):
             problems.append(
@@ -183,13 +162,4 @@ def validate_report(document) -> list[str]:
 
 def require_valid_report(document) -> None:
     """Raise :class:`DiagnosisError` unless the document validates."""
-    problems = validate_report(document)
-    if problems:
-        shown = "\n  ".join(problems[:20])
-        more = (
-            f"\n  ... and {len(problems) - 20} more"
-            if len(problems) > 20 else ""
-        )
-        raise DiagnosisError(
-            f"document does not conform to {SCHEMA}:\n  {shown}{more}"
-        )
+    require_valid(validate_report(document), SCHEMA, DiagnosisError)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from repro._fields import check_fields, require_valid
 from repro.errors import ObservabilityError
 
 SCHEMA = "repro-trace-v1"
@@ -36,10 +37,9 @@ COMMON_FIELDS = {
 #: A ``(time, total, integral)`` queue snapshot as carried in records.
 _SNAPSHOT = dict
 
-#: Field specs are ``name -> (python type(s), description)``.  A tuple of
-#: types means "any of"; ``type(None)`` in the tuple marks the field
-#: nullable.  Every field listed is required — emitters always write the
-#: full record, with ``null`` where no value exists.
+#: Field tables as :mod:`repro._fields` reads them.  Every field listed
+#: is required — emitters always write the full record, with ``null``
+#: where no value exists.
 RECORD_TYPES: dict[str, dict] = {
     "trace.header": {
         "doc": "Stream header; always the first record.",
@@ -324,28 +324,6 @@ RECORD_TYPES: dict[str, dict] = {
 }
 
 
-def _check_type(value, expected) -> bool:
-    if expected is object:
-        return True
-    if isinstance(expected, tuple):
-        return isinstance(value, expected)
-    if expected is int:
-        # bool is an int subclass; an int field must not accept True.
-        return isinstance(value, int) and not isinstance(value, bool)
-    if expected is bool:
-        return isinstance(value, bool)
-    return isinstance(value, expected)
-
-
-def _type_name(expected) -> str:
-    if isinstance(expected, tuple):
-        return " | ".join(_type_name(e) for e in expected)
-    if expected is type(None):
-        return "null"
-    if expected is object:
-        return "any"
-    return expected.__name__
-
 def validate_record(record: dict) -> list[str]:
     """Check one record against the schema; return a list of problems.
 
@@ -353,37 +331,17 @@ def validate_record(record: dict) -> list[str]:
     so a failing record can be fixed (or its emitter debugged) without
     re-reading the schema.
     """
-    problems: list[str] = []
-    if not isinstance(record, dict):
-        return [f"record must be an object, got {type(record).__name__}"]
-    for name, (expected, _) in COMMON_FIELDS.items():
-        if name not in record:
-            problems.append(f"missing common field {name!r}")
-        elif not _check_type(record[name], expected):
-            problems.append(
-                f"field {name!r} must be {_type_name(expected)}, "
-                f"got {type(record[name]).__name__}"
-            )
-    rtype = record.get("type")
-    if rtype is None or not isinstance(rtype, str):
+    # The type-specific check below reports keys outside both tables.
+    problems = check_fields(record, COMMON_FIELDS, "record", also=record)
+    rtype = record.get("type") if isinstance(record, dict) else None
+    if not isinstance(rtype, str):
         return problems
     spec = RECORD_TYPES.get(rtype)
     if spec is None:
-        problems.append(f"unknown record type {rtype!r}")
-        return problems
-    fields = spec["fields"]
-    for name, (expected, _) in fields.items():
-        if name not in record:
-            problems.append(f"{rtype}: missing field {name!r}")
-        elif not _check_type(record[name], expected):
-            problems.append(
-                f"{rtype}: field {name!r} must be {_type_name(expected)}, "
-                f"got {type(record[name]).__name__}"
-            )
-    extras = set(record) - set(fields) - set(COMMON_FIELDS)
-    if extras:
-        problems.append(f"{rtype}: unexpected fields {sorted(extras)}")
-    return problems
+        return problems + [f"unknown record type {rtype!r}"]
+    return problems + check_fields(
+        record, spec["fields"], rtype, also=COMMON_FIELDS
+    )
 
 
 def validate_stream(records: Iterable[dict]) -> list[str]:
@@ -397,7 +355,8 @@ def validate_stream(records: Iterable[dict]) -> list[str]:
     for index, record in enumerate(records):
         empty = False
         if index == 0:
-            if record.get("type") != "trace.header":
+            header = record if isinstance(record, dict) else {}
+            if header.get("type") != "trace.header":
                 problems.append(
                     "record 0: stream must start with a trace.header"
                 )
@@ -417,10 +376,4 @@ def validate_stream(records: Iterable[dict]) -> list[str]:
 
 def require_valid_stream(records: Iterable[dict]) -> None:
     """Raise :class:`ObservabilityError` unless the stream validates."""
-    problems = validate_stream(records)
-    if problems:
-        shown = "\n  ".join(problems[:20])
-        more = f"\n  ... and {len(problems) - 20} more" if len(problems) > 20 else ""
-        raise ObservabilityError(
-            f"trace does not conform to {SCHEMA}:\n  {shown}{more}"
-        )
+    require_valid(validate_stream(records), SCHEMA, ObservabilityError)

@@ -4,21 +4,12 @@
 end-to-end bench regimes (see ``benchmarks/e2e_shapes.py``): it runs one
 benchmark under :mod:`cProfile` and emits a JSON document ranking
 functions by cumulative time.  The document is what guided this
-codebase's hot-path pass (docs/PERFORMANCE.md), and CI validates its
-schema so the profiling tooling cannot silently rot.
+codebase's hot-path pass (docs/PERFORMANCE.md), and CI validates it
+against :data:`DOCUMENT` so the profiling tooling cannot silently rot.
 
-Document layout::
-
-    {"schema": "repro-profile-v1",
-     "shape": "fig2",
-     "events_executed": N, "wall_seconds": S, "events_per_sec": R,
-     "top": [{"function": "module:name:lineno",
-              "ncalls": n, "tottime": t, "cumtime": c}, ...]}
-
-``top`` is sorted by ``cumtime`` descending and capped at the requested
-N.  Times are profiler-overhead-inclusive seconds; use them for
-*ranking*, and ``benchmarks/e2e_shapes.py`` (no profiler) for absolute
-events/sec numbers.
+Times are profiler-overhead-inclusive seconds; use them for *ranking*,
+and ``benchmarks/e2e_shapes.py`` (no profiler) for absolute events/sec
+numbers.
 """
 
 from __future__ import annotations
@@ -27,10 +18,39 @@ import cProfile
 import pstats
 from dataclasses import replace
 
+from repro._fields import check_fields
 from repro.errors import WorkloadError
 from repro.units import msecs
 
 PROFILE_SCHEMA = "repro-profile-v1"
+
+#: The document layout, one field table per JSON object kind, in render
+#: order, as :mod:`repro._fields` reads them.
+DOCUMENT: dict[str, dict] = {
+    "profile": {
+        "doc": "Top-level document emitted by ``repro profile``.",
+        "fields": {
+            "schema": (str, f"schema version; always {PROFILE_SCHEMA!r}"),
+            "shape": (str, "the profiled shape, e.g. 'fig2'"),
+            "events_executed": (int, "simulator events the run executed"),
+            "wall_seconds": ((int, float), "profiled run time, seconds"),
+            "events_per_sec": (
+                (int, float, type(None)),
+                "events_executed / wall_seconds; null when no time passed",
+            ),
+            "top": (list, "at most ``--top`` rows, ``cumtime`` descending"),
+        },
+    },
+    "row": {
+        "doc": "One profiled function.",
+        "fields": {
+            "function": (str, "where it is defined: 'file:name:lineno'"),
+            "ncalls": (int, "calls, recursive ones included"),
+            "tottime": ((int, float), "seconds in the function itself"),
+            "cumtime": ((int, float), "seconds including its callees"),
+        },
+    },
+}
 
 #: The profileable shapes, mirroring benchmarks/e2e_shapes.py (defined
 #: here so the installed CLI does not depend on the benchmarks tree).
@@ -107,44 +127,25 @@ def profile_run(config, shape: str = "custom", top_n: int = 25) -> dict:
 
 def validate_profile(document) -> list[str]:
     """Schema problems in a repro-profile-v1 dict ([] = valid)."""
-    problems: list[str] = []
+    problems = check_fields(document, DOCUMENT["profile"]["fields"], "profile")
     if not isinstance(document, dict):
-        return [f"profile document must be an object, got {type(document).__name__}"]
-    if document.get("schema") != PROFILE_SCHEMA:
+        return problems
+    if document.get("schema", PROFILE_SCHEMA) != PROFILE_SCHEMA:
         problems.append(
-            f"schema must be {PROFILE_SCHEMA!r}, got {document.get('schema')!r}"
+            f"profile: schema must be {PROFILE_SCHEMA!r}, "
+            f"got {document['schema']!r}"
         )
-    for field, kind in (
-        ("shape", str),
-        ("events_executed", int),
-        ("wall_seconds", (int, float)),
-        ("top", list),
-    ):
-        if not isinstance(document.get(field), kind):
-            problems.append(f"missing or mistyped field {field!r}")
     rows = document.get("top")
     if not isinstance(rows, list):
         return problems
     previous = None
     for position, row in enumerate(rows):
-        if not isinstance(row, dict):
-            problems.append(f"top[{position}] is not an object")
+        where = f"top[{position}]"
+        row_problems = check_fields(row, DOCUMENT["row"]["fields"], where)
+        problems += row_problems
+        if row_problems:
             continue
-        for field, kind in (
-            ("function", str),
-            ("ncalls", int),
-            ("tottime", (int, float)),
-            ("cumtime", (int, float)),
-        ):
-            if not isinstance(row.get(field), kind):
-                problems.append(
-                    f"top[{position}] missing or mistyped field {field!r}"
-                )
-        cumtime = row.get("cumtime")
-        if isinstance(cumtime, (int, float)):
-            if previous is not None and cumtime > previous + 1e-9:
-                problems.append(
-                    f"top[{position}] breaks the cumtime descending order"
-                )
-            previous = cumtime
+        if previous is not None and row["cumtime"] > previous + 1e-9:
+            problems.append(f"{where}: breaks the cumtime descending order")
+        previous = row["cumtime"]
     return problems

@@ -14,7 +14,7 @@ from repro._lazy import lazy_exports
 _EXPORTS = {
     "RemedyEngine": ".engine",
     "CONFIRM_ENVIRONMENT": ".playbooks",
-    "DEFAULT_BUDGET": ".playbooks",
+    "DEFAULT_BUDGET": ".schema",
     "ISOLATE_AND_RERUN": ".playbooks",
     "PLAYBOOKS": ".playbooks",
     "RELAX_WATCHDOG": ".playbooks",

@@ -40,8 +40,10 @@ import pickle
 from dataclasses import dataclass
 from typing import Callable
 
+from repro._fields import check_fields, require_valid
 from repro.errors import RemedyError
 from repro.remedy.report import TRIGGER_FINDING, TRIGGER_QUARANTINE
+from repro.remedy.schema import CONFIG_DOCUMENT, CONFIG_SCHEMA, DEFAULT_BUDGET
 
 #: Budget multiplier the relax-watchdog probe runs with.
 WATCHDOG_SLACK = 4.0
@@ -256,11 +258,6 @@ PLAYBOOKS: dict[str, Playbook] = {
     for playbook in (CONFIRM_ENVIRONMENT, RELAX_WATCHDOG, ISOLATE_AND_RERUN)
 }
 
-#: Default per-campaign probe budget.
-DEFAULT_BUDGET = 8
-
-CONFIG_SCHEMA = "repro-remedy-config-v1"
-
 
 def resolve_playbooks(names) -> tuple[Playbook, ...]:
     """Playbook objects for ``names`` (strings pass through the
@@ -287,9 +284,9 @@ def resolve_playbooks(names) -> tuple[Playbook, ...]:
 def load_playbook_config(path) -> tuple[tuple[Playbook, ...], int]:
     """``(playbooks, budget)`` from a JSON playbook config file.
 
-    The document shape is ``{"schema": "repro-remedy-config-v1",
-    "playbooks": [name, ...], "budget": N}``; both fields are optional
-    and default to the full registry and :data:`DEFAULT_BUDGET`.
+    The document is a ``repro-remedy-config-v1`` object
+    (:data:`repro.remedy.schema.CONFIG_DOCUMENT`); every field is
+    optional, and an unknown key is an error.
     """
     path = pathlib.Path(path)
     try:
@@ -298,26 +295,23 @@ def load_playbook_config(path) -> tuple[tuple[Playbook, ...], int]:
         raise RemedyError(f"{path}: unreadable playbook config: {exc}") from exc
     except ValueError as exc:
         raise RemedyError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(document, dict):
-        raise RemedyError(
-            f"{path}: playbook config must be an object, got "
-            f"{type(document).__name__}"
-        )
-    schema = document.get("schema", CONFIG_SCHEMA)
-    if schema != CONFIG_SCHEMA:
-        raise RemedyError(
-            f"{path}: schema is {schema!r}, expected {CONFIG_SCHEMA!r}"
-        )
-    budget = document.get("budget", DEFAULT_BUDGET)
-    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
-        raise RemedyError(
-            f"{path}: budget must be a non-negative integer, got {budget!r}"
-        )
-    names = document.get("playbooks")
-    if names is not None and not isinstance(names, list):
-        raise RemedyError(f"{path}: playbooks must be a list of names")
+    problems = check_fields(
+        document, CONFIG_DOCUMENT["config"]["fields"], str(path)
+    )
+    if not problems:
+        if document.get("schema", CONFIG_SCHEMA) != CONFIG_SCHEMA:
+            problems.append(
+                f"{path}: schema is {document['schema']!r}, "
+                f"expected {CONFIG_SCHEMA!r}"
+            )
+        if document.get("budget", 0) < 0:
+            problems.append(
+                f"{path}: budget must be a non-negative integer, "
+                f"got {document['budget']!r}"
+            )
+    require_valid(problems, CONFIG_SCHEMA, RemedyError)
     try:
-        playbooks = resolve_playbooks(names)
+        playbooks = resolve_playbooks(document.get("playbooks"))
     except RemedyError as exc:
         raise RemedyError(f"{path}: {exc}") from exc
-    return playbooks, budget
+    return playbooks, document.get("budget", DEFAULT_BUDGET)

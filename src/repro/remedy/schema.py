@@ -1,20 +1,52 @@
-"""``repro-remediation-v1`` document schema: definition and validation.
+"""The ``repro-remediation-v1`` report and ``repro-remedy-config-v1`` schemas.
 
 Mirrors the :mod:`repro.diagnose.schema` idiom: the field tables here
 are the single source of truth — :func:`validate_remediation_report`
-checks a parsed document against them, and ``tools/check_docs.py``
-regenerates the schema table embedded in ``docs/SERVICE.md`` from the
-same structure, so documentation cannot drift from code.
+checks a parsed report against them, ``load_playbook_config`` checks a
+playbook config, and ``tools/check_docs.py`` regenerates the tables
+embedded in ``docs/SERVICE.md`` from the same structures, so
+documentation cannot drift from code.
 """
 
 from __future__ import annotations
 
+from repro._fields import check_fields, require_valid
 from repro.errors import RemedyError
 from repro.remedy.report import SCHEMA, TRIGGERS, VERDICTS
 
-#: The document layout, one table per JSON object kind, in render order.
-#: Field specs are ``name -> (python type(s), description)`` exactly as
-#: in :data:`repro.obs.schema.RECORD_TYPES`.
+#: Default per-campaign probe budget.
+DEFAULT_BUDGET = 8
+
+CONFIG_SCHEMA = "repro-remedy-config-v1"
+
+#: The playbook config read by :func:`repro.remedy.load_playbook_config`,
+#: a field table with defaults as in :mod:`repro.campaign.schema`.
+CONFIG_DOCUMENT: dict[str, dict] = {
+    "config": {
+        "doc": (
+            "The file the ``--playbooks`` flag points at. Unknown keys "
+            "are rejected, so a misspelled key fails instead of silently "
+            "running the defaults."
+        ),
+        "fields": {
+            "schema": (
+                str, f"{CONFIG_SCHEMA!r}", f"always ``{CONFIG_SCHEMA!r}``",
+            ),
+            "playbooks": (
+                list, "[all three]",
+                "playbook names (at least one), fired in the order given",
+            ),
+            "budget": (
+                int, f"{DEFAULT_BUDGET}",
+                "per-campaign probe budget, at least 0 "
+                "(``--remedy-budget`` overrides it)",
+            ),
+        },
+    },
+}
+
+#: The report layout, one field table per JSON object kind, in render
+#: order, as :mod:`repro._fields` reads them.
 DOCUMENT: dict[str, dict] = {
     "report": {
         "doc": (
@@ -62,33 +94,6 @@ DOCUMENT: dict[str, dict] = {
 }
 
 
-def _check(value, expected) -> bool:
-    if isinstance(expected, tuple):
-        return isinstance(value, expected)
-    if expected is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    return isinstance(value, expected)
-
-
-def _check_object(obj, kind: str, where: str) -> list[str]:
-    problems: list[str] = []
-    if not isinstance(obj, dict):
-        return [f"{where}: must be an object, got {type(obj).__name__}"]
-    fields = DOCUMENT[kind]["fields"]
-    for name, (expected, _) in fields.items():
-        if name not in obj:
-            problems.append(f"{where}: missing field {name!r}")
-        elif not _check(obj[name], expected):
-            problems.append(
-                f"{where}: field {name!r} has wrong type "
-                f"{type(obj[name]).__name__}"
-            )
-    extras = set(obj) - set(fields)
-    if extras:
-        problems.append(f"{where}: unexpected fields {sorted(extras)}")
-    return problems
-
-
 def validate_remediation_report(document) -> list[str]:
     """Check a parsed report document; return a list of problems.
 
@@ -96,7 +101,7 @@ def validate_remediation_report(document) -> list[str]:
     report.  Checks structure, field types, verdict/trigger enums, and
     internal consistency (the summary matches the actions it rolls up).
     """
-    problems = _check_object(document, "report", "report")
+    problems = check_fields(document, DOCUMENT["report"]["fields"], "report")
     if problems:
         return problems
     if document["schema"] != SCHEMA:
@@ -107,7 +112,9 @@ def validate_remediation_report(document) -> list[str]:
     by_verdict: dict[str, int] = {}
     for aindex, action in enumerate(document["actions"]):
         where = f"actions[{aindex}]"
-        problems.extend(_check_object(action, "action", where))
+        problems.extend(
+            check_fields(action, DOCUMENT["action"]["fields"], where)
+        )
         if problems:
             continue
         if action["verdict"] not in VERDICTS:
@@ -117,7 +124,9 @@ def validate_remediation_report(document) -> list[str]:
         probes += action["probes"]
         by_verdict[action["verdict"]] = by_verdict.get(action["verdict"], 0) + 1
     summary = document["summary"]
-    problems.extend(_check_object(summary, "summary", "summary"))
+    problems.extend(
+        check_fields(summary, DOCUMENT["summary"]["fields"], "summary")
+    )
     if not problems:
         if summary["actions"] != len(document["actions"]):
             problems.append(
@@ -136,13 +145,4 @@ def validate_remediation_report(document) -> list[str]:
 
 def require_valid_remediation_report(document) -> None:
     """Raise :class:`RemedyError` unless the document validates."""
-    problems = validate_remediation_report(document)
-    if problems:
-        shown = "\n  ".join(problems[:20])
-        more = (
-            f"\n  ... and {len(problems) - 20} more"
-            if len(problems) > 20 else ""
-        )
-        raise RemedyError(
-            f"document does not conform to {SCHEMA}:\n  {shown}{more}"
-        )
+    require_valid(validate_remediation_report(document), SCHEMA, RemedyError)

@@ -21,6 +21,8 @@ them and ``tools/check_docs.py`` renders the same tables into
 
 from __future__ import annotations
 
+from repro._fields import check_fields
+
 SERVICE_SCHEMA = "repro-service-v1"
 
 #: File names inside the service state directory.
@@ -33,9 +35,8 @@ HEARTBEAT_FILE = "heartbeat.json"
 #: its report byte-identical).
 STATUSES = ("queued", "running", "done", "failed")
 
-#: The document layout, one table per JSON object kind, in render
-#: order.  Field specs are ``name -> (python type(s), description)``
-#: exactly as in :data:`repro.obs.schema.RECORD_TYPES`.
+#: The document layout, one field table per JSON object kind, in render
+#: order, as :mod:`repro._fields` reads them.
 DOCUMENT: dict[str, dict] = {
     "journal-header": {
         "doc": "First line of every journal file.",
@@ -75,35 +76,23 @@ DOCUMENT: dict[str, dict] = {
 }
 
 
-def _check(value, expected) -> bool:
-    if expected is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    return isinstance(value, expected)
-
-
 def validate_journal_record(record) -> list[str]:
     """Problems with one parsed journal record (empty list = valid)."""
-    if not isinstance(record, dict):
-        return [f"record must be an object, got {type(record).__name__}"]
-    if "schema" in record:
+    if isinstance(record, dict) and "schema" in record:
+        problems = check_fields(
+            record, DOCUMENT["journal-header"]["fields"], "journal header"
+        )
         if record["schema"] != SERVICE_SCHEMA:
-            return [
+            problems.append(
                 f"header schema is {record['schema']!r}, "
                 f"expected {SERVICE_SCHEMA!r}"
-            ]
-        return []
-    problems: list[str] = []
-    fields = DOCUMENT["campaign"]["fields"]
-    if record.get("kind") != "campaign":
-        return [f"unknown journal record kind {record.get('kind')!r}"]
-    for name, (expected, _) in fields.items():
-        if name not in record:
-            problems.append(f"campaign record: missing field {name!r}")
-        elif not _check(record[name], expected):
-            problems.append(
-                f"campaign record: field {name!r} has wrong type "
-                f"{type(record[name]).__name__}"
             )
+        return problems
+    if isinstance(record, dict) and record.get("kind") != "campaign":
+        return [f"unknown journal record kind {record.get('kind')!r}"]
+    problems = check_fields(
+        record, DOCUMENT["campaign"]["fields"], "campaign record"
+    )
     if not problems and record["status"] not in STATUSES:
         problems.append(
             f"campaign record: unknown status {record['status']!r}"

@@ -72,6 +72,41 @@ class TestValidateRecord:
             assert spec["fields"], rtype
 
 
+def _valid_record(rtype: str) -> dict:
+    """A record of ``rtype`` that fills every field with a value of its
+    first listed type."""
+    samples = {str: "x", int: 1, float: 1.5, bool: False, dict: {},
+               list: [], object: None, type(None): None}
+    record = {"t": 0, "type": rtype, "src": "test"}
+    for name, (types, _) in RECORD_TYPES[rtype]["fields"].items():
+        first = types[0] if isinstance(types, tuple) else types
+        record[name] = samples[first]
+    return record
+
+
+#: Every (record type, field) whose type tuple admits an int.
+NUMERIC_TUPLE_FIELDS = [
+    (rtype, name)
+    for rtype, spec in RECORD_TYPES.items()
+    for name, (types, _) in spec["fields"].items()
+    if isinstance(types, tuple) and int in types
+]
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize(
+    "rtype, name", NUMERIC_TUPLE_FIELDS,
+    ids=[f"{rtype}.{name}" for rtype, name in NUMERIC_TUPLE_FIELDS],
+)
+def test_bool_rejected_in_numeric_trace_field(rtype, name, value):
+    record = _valid_record(rtype)
+    assert validate_record(record) == []
+    problems = validate_record(dict(record, **{name: value}))
+    assert len(problems) == 1, problems
+    assert problems[0].startswith(f"{rtype}: field {name!r} must be ")
+    assert problems[0].endswith(", got bool")
+
+
 class TestValidateStream:
     def test_header_first_required(self):
         problems = validate_stream([DECISION, HEADER])
@@ -80,6 +115,12 @@ class TestValidateStream:
     def test_wrong_schema_version(self):
         bad = dict(HEADER, schema="repro-trace-v0")
         assert any("repro-trace-v0" in p for p in validate_stream([bad]))
+
+    def test_non_object_header_reported_not_raised(self):
+        assert validate_stream([[1, 2]]) == [
+            "record 0: stream must start with a trace.header",
+            "record 0: record: must be an object, got list",
+        ]
 
     def test_empty_stream_rejected(self):
         assert validate_stream([]) == ["stream is empty (no header)"]

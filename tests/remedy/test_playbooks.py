@@ -252,3 +252,20 @@ class TestPlaybookConfig:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(RemedyError, match="unreadable"):
             load_playbook_config(tmp_path / "absent.json")
+
+    def test_misspelled_keys_rejected(self, tmp_path):
+        path = self._write(tmp_path, {
+            "schema": "repro-remedy-config-v1",
+            "playbook": ["relax-watchdog"],
+            "budgt": 1,
+        })
+        with pytest.raises(RemedyError) as err:
+            load_playbook_config(path)
+        assert f"{path}: unexpected fields ['budgt', 'playbook']" in str(
+            err.value
+        )
+
+    def test_non_object_rejected(self, tmp_path):
+        path = self._write(tmp_path, ["relax-watchdog"])
+        with pytest.raises(RemedyError, match="must be an object"):
+            load_playbook_config(path)

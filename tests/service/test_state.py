@@ -116,6 +116,15 @@ class TestRecordValidation:
     def test_unknown_kind_fails(self):
         assert validate_journal_record({"kind": "mystery"})
 
+    def test_unexpected_fields_fail(self):
+        assert validate_journal_record(_campaign_record(extra=1)) == [
+            "campaign record: unexpected fields ['extra']"
+        ]
+        header = {"schema": SERVICE_SCHEMA, "extra": 1}
+        assert validate_journal_record(header) == [
+            "journal header: unexpected fields ['extra']"
+        ]
+
 
 class TestHeartbeat:
     def test_round_trip(self, tmp_path):

@@ -8,25 +8,11 @@ delimited by HTML-comment markers:
   of ``repro ARGS --help`` (``ARGS`` may be empty for the top-level
   parser, or a subcommand path like ``trace record``), rendered at a
   fixed 80-column width so the text is stable across terminals;
-- ``<!-- repro-trace-schema -->`` … ``<!-- /repro-trace-schema -->`` —
-  the ``repro-trace-v1`` field tables, generated from
-  ``repro.obs.schema.RECORD_TYPES`` (the single source of truth);
-- ``<!-- repro-diagnosis-schema -->`` … ``<!-- /repro-diagnosis-schema -->``
-  — the ``repro-diagnosis-v1`` document tables, generated from
-  ``repro.diagnose.schema.DOCUMENT`` the same way;
-- ``<!-- repro-campaign-schema -->`` … ``<!-- /repro-campaign-schema -->``
-  — the ``repro-campaign-v1`` spec tables, generated from
-  ``repro.campaign.schema.SPEC_SECTIONS`` (field, type, default,
-  meaning);
-- ``<!-- repro-importance-schema -->`` … ``<!-- /repro-importance-schema -->``
-  — the ``repro-importance-v1`` report tables, generated from
-  ``repro.campaign.schema.IMPORTANCE_DOCUMENT``;
-- ``<!-- repro-remedy-schema -->`` … ``<!-- /repro-remedy-schema -->``
-  — the ``repro-remediation-v1`` report tables, generated from
-  ``repro.remedy.schema.DOCUMENT``;
-- ``<!-- repro-service-schema -->`` … ``<!-- /repro-service-schema -->``
-  — the ``repro-service-v1`` journal/heartbeat tables, generated from
-  ``repro.service.schema.DOCUMENT``.
+- ``<!-- repro-NAME-schema -->`` … ``<!-- /repro-NAME-schema -->`` —
+  one document's field tables, generated from the schema module's
+  tables (the single source of truth) that :data:`SCHEMA_BLOCKS` names
+  for the marker, e.g. ``repro.obs.schema.RECORD_TYPES`` for the
+  ``repro-trace-v1`` block.
 
 Run with no arguments to check (exit 1 on drift, printing what moved);
 run with ``--write`` to rewrite the files in place.  CI runs the check
@@ -41,6 +27,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import pathlib
 import re
@@ -61,34 +48,30 @@ _HELP_BLOCK = re.compile(
     re.DOTALL,
 )
 _SCHEMA_BLOCK = re.compile(
-    r"(<!-- repro-trace-schema -->\n)(?P<body>.*?)(<!-- /repro-trace-schema -->)",
+    r"(<!-- (?P<marker>repro-[a-z-]+-schema) -->\n)(?P<body>.*?)"
+    r"(<!-- /(?P=marker) -->)",
     re.DOTALL,
 )
-_DIAGNOSIS_BLOCK = re.compile(
-    r"(<!-- repro-diagnosis-schema -->\n)(?P<body>.*?)"
-    r"(<!-- /repro-diagnosis-schema -->)",
-    re.DOTALL,
-)
-_CAMPAIGN_BLOCK = re.compile(
-    r"(<!-- repro-campaign-schema -->\n)(?P<body>.*?)"
-    r"(<!-- /repro-campaign-schema -->)",
-    re.DOTALL,
-)
-_IMPORTANCE_BLOCK = re.compile(
-    r"(<!-- repro-importance-schema -->\n)(?P<body>.*?)"
-    r"(<!-- /repro-importance-schema -->)",
-    re.DOTALL,
-)
-_REMEDY_BLOCK = re.compile(
-    r"(<!-- repro-remedy-schema -->\n)(?P<body>.*?)"
-    r"(<!-- /repro-remedy-schema -->)",
-    re.DOTALL,
-)
-_SERVICE_BLOCK = re.compile(
-    r"(<!-- repro-service-schema -->\n)(?P<body>.*?)"
-    r"(<!-- /repro-service-schema -->)",
-    re.DOTALL,
-)
+
+#: docs marker -> (schema module, schema version constant, field tables).
+SCHEMA_BLOCKS = {
+    "repro-trace-schema": ("repro.obs.schema", "SCHEMA", "RECORD_TYPES"),
+    "repro-diagnosis-schema": ("repro.diagnose.schema", "SCHEMA", "DOCUMENT"),
+    "repro-campaign-schema": (
+        "repro.campaign.schema", "SPEC_SCHEMA", "SPEC_SECTIONS",
+    ),
+    "repro-importance-schema": (
+        "repro.campaign.schema", "IMPORTANCE_SCHEMA", "IMPORTANCE_DOCUMENT",
+    ),
+    "repro-remedy-config-schema": (
+        "repro.remedy.schema", "CONFIG_SCHEMA", "CONFIG_DOCUMENT",
+    ),
+    "repro-remedy-schema": ("repro.remedy.schema", "SCHEMA", "DOCUMENT"),
+    "repro-service-schema": (
+        "repro.service.schema", "SERVICE_SCHEMA", "DOCUMENT",
+    ),
+    "repro-profile-schema": ("repro.profiling", "PROFILE_SCHEMA", "DOCUMENT"),
+}
 
 
 def _subparser(parser: argparse.ArgumentParser, path: list[str]):
@@ -115,206 +98,48 @@ def render_help(args_text: str) -> str:
     return f"```text\n{help_text}\n```\n"
 
 
-def _field_rows(fields: dict) -> list[str]:
-    from repro.obs.schema import _type_name
+def _table(fields: dict) -> list[str]:
+    """One field table as markdown, with a default column if it has one."""
+    from repro._fields import type_name
 
-    rows = []
-    for name, (expected, description) in fields.items():
-        rows.append(f"| `{name}` | `{_type_name(expected)}` | {description} |")
-    return rows
+    columns = ["field", "type", "meaning"]
+    if len(next(iter(fields.values()))) == 3:
+        columns.insert(2, "default")
+    lines = ["| " + " | ".join(columns) + " |", "|" + "---|" * len(columns)]
+    for name, (types, *default, description) in fields.items():
+        cells = [f"`{name}`", f"`{type_name(types)}`"]
+        cells += [f"`{value}`" for value in default] + [description]
+        lines.append("| " + " | ".join(cells) + " |")
+    return lines
 
 
-def render_schema() -> str:
-    """The repro-trace-v1 tables, from the live schema definition."""
-    from repro.obs.schema import COMMON_FIELDS, RECORD_TYPES, SCHEMA
-
+def render_schema(marker: str) -> str:
+    """One schema block's tables, from the live definitions."""
+    module_name, schema, tables = SCHEMA_BLOCKS[marker]
+    module = importlib.import_module(module_name)
     lines = [
-        f"Schema version: **`{SCHEMA}`** (generated from "
-        "`repro.obs.schema.RECORD_TYPES` by `tools/check_docs.py`; "
-        "edit the schema module, not this section).",
-        "",
-        "Common fields, present on every record:",
-        "",
-        "| field | type | meaning |",
-        "|---|---|---|",
-    ]
-    lines += _field_rows(COMMON_FIELDS)
-    for rtype, spec in RECORD_TYPES.items():
-        lines += [
-            "",
-            f"### `{rtype}`",
-            "",
-            spec["doc"],
-            "",
-            "| field | type | meaning |",
-            "|---|---|---|",
-        ]
-        lines += _field_rows(spec["fields"])
-    return "\n".join(lines) + "\n"
-
-
-def render_diagnosis_schema() -> str:
-    """The repro-diagnosis-v1 tables, from the live document definition."""
-    from repro.diagnose.report import SCHEMA
-    from repro.diagnose.schema import DOCUMENT
-
-    lines = [
-        f"Schema version: **`{SCHEMA}`** (generated from "
-        "`repro.diagnose.schema.DOCUMENT` by `tools/check_docs.py`; "
+        f"Schema version: **`{getattr(module, schema)}`** (generated from "
+        f"`{module_name}.{tables}` by `tools/check_docs.py`; "
         "edit the schema module, not this section).",
     ]
-    for kind, spec in DOCUMENT.items():
-        lines += [
-            "",
-            f"### `{kind}`",
-            "",
-            spec["doc"],
-            "",
-            "| field | type | meaning |",
-            "|---|---|---|",
-        ]
-        lines += _field_rows(spec["fields"])
-    return "\n".join(lines) + "\n"
-
-
-def render_campaign_schema() -> str:
-    """The repro-campaign-v1 spec tables, from the live definitions."""
-    from repro.campaign.schema import SPEC_SCHEMA, SPEC_SECTIONS, _type_name
-
-    lines = [
-        f"Schema version: **`{SPEC_SCHEMA}`** (generated from "
-        "`repro.campaign.schema.SPEC_SECTIONS` by `tools/check_docs.py`; "
-        "edit the schema module, not this section).",
-    ]
-    for section, spec in SPEC_SECTIONS.items():
-        lines += [
-            "",
-            f"### `{section}`",
-            "",
-            spec["doc"],
-            "",
-            "| field | type | default | meaning |",
-            "|---|---|---|---|",
-        ]
-        for name, (expected, default, description) in spec["fields"].items():
-            lines.append(
-                f"| `{name}` | `{_type_name(expected)}` | `{default}` "
-                f"| {description} |"
-            )
-    return "\n".join(lines) + "\n"
-
-
-def render_importance_schema() -> str:
-    """The repro-importance-v1 report tables, from the live definitions."""
-    from repro.campaign.schema import (
-        IMPORTANCE_DOCUMENT,
-        IMPORTANCE_SCHEMA,
-        _type_name,
-    )
-
-    lines = [
-        f"Schema version: **`{IMPORTANCE_SCHEMA}`** (generated from "
-        "`repro.campaign.schema.IMPORTANCE_DOCUMENT` by "
-        "`tools/check_docs.py`; edit the schema module, not this section).",
-    ]
-    for kind, spec in IMPORTANCE_DOCUMENT.items():
-        lines += [
-            "",
-            f"### `{kind}`",
-            "",
-            spec["doc"],
-            "",
-            "| field | type | meaning |",
-            "|---|---|---|",
-        ]
-        for name, (expected, description) in spec["fields"].items():
-            lines.append(
-                f"| `{name}` | `{_type_name(expected)}` | {description} |"
-            )
-    return "\n".join(lines) + "\n"
-
-
-def render_remedy_schema() -> str:
-    """The repro-remediation-v1 tables, from the live definitions."""
-    from repro.remedy.report import SCHEMA
-    from repro.remedy.schema import DOCUMENT
-
-    lines = [
-        f"Schema version: **`{SCHEMA}`** (generated from "
-        "`repro.remedy.schema.DOCUMENT` by `tools/check_docs.py`; "
-        "edit the schema module, not this section).",
-    ]
-    for kind, spec in DOCUMENT.items():
-        lines += [
-            "",
-            f"### `{kind}`",
-            "",
-            spec["doc"],
-            "",
-            "| field | type | meaning |",
-            "|---|---|---|",
-        ]
-        lines += _field_rows(spec["fields"])
-    return "\n".join(lines) + "\n"
-
-
-def render_service_schema() -> str:
-    """The repro-service-v1 tables, from the live definitions."""
-    from repro.service.schema import DOCUMENT, SERVICE_SCHEMA
-
-    lines = [
-        f"Schema version: **`{SERVICE_SCHEMA}`** (generated from "
-        "`repro.service.schema.DOCUMENT` by `tools/check_docs.py`; "
-        "edit the schema module, not this section).",
-    ]
-    for kind, spec in DOCUMENT.items():
-        lines += [
-            "",
-            f"### `{kind}`",
-            "",
-            spec["doc"],
-            "",
-            "| field | type | meaning |",
-            "|---|---|---|",
-        ]
-        lines += _field_rows(spec["fields"])
+    if hasattr(module, "COMMON_FIELDS"):  # the trace's per-record fields
+        lines += ["", "Common fields, present on every record:", ""]
+        lines += _table(module.COMMON_FIELDS)
+    for kind, spec in getattr(module, tables).items():
+        lines += ["", f"### `{kind}`", "", spec["doc"], ""]
+        lines += _table(spec["fields"])
     return "\n".join(lines) + "\n"
 
 
 def regenerate(text: str) -> str:
     """One file's content with every generated block refreshed."""
-
-    def _help(match: re.Match) -> str:
-        return (
-            match.group(1) + render_help(match.group("args")) + match.group(4)
-        )
-
-    def _schema(match: re.Match) -> str:
-        return match.group(1) + render_schema() + match.group(3)
-
-    def _diagnosis(match: re.Match) -> str:
-        return match.group(1) + render_diagnosis_schema() + match.group(3)
-
-    def _campaign(match: re.Match) -> str:
-        return match.group(1) + render_campaign_schema() + match.group(3)
-
-    def _importance(match: re.Match) -> str:
-        return match.group(1) + render_importance_schema() + match.group(3)
-
-    def _remedy(match: re.Match) -> str:
-        return match.group(1) + render_remedy_schema() + match.group(3)
-
-    def _service(match: re.Match) -> str:
-        return match.group(1) + render_service_schema() + match.group(3)
-
-    text = _HELP_BLOCK.sub(_help, text)
-    text = _SCHEMA_BLOCK.sub(_schema, text)
-    text = _DIAGNOSIS_BLOCK.sub(_diagnosis, text)
-    text = _CAMPAIGN_BLOCK.sub(_campaign, text)
-    text = _IMPORTANCE_BLOCK.sub(_importance, text)
-    text = _REMEDY_BLOCK.sub(_remedy, text)
-    text = _SERVICE_BLOCK.sub(_service, text)
-    return text
+    text = _HELP_BLOCK.sub(
+        lambda m: m.group(1) + render_help(m.group("args")) + m.group(4), text
+    )
+    return _SCHEMA_BLOCK.sub(
+        lambda m: m.group(1) + render_schema(m.group("marker")) + m.group(4),
+        text,
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
