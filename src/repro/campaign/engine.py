@@ -81,52 +81,6 @@ def build_cells(spec: CampaignSpec, matrix: RunMatrix) -> list[tuple]:
     return cells
 
 
-def _cell_prober(scenario, items, watchdog):
-    """The remediation probe hook for one expanded campaign.
-
-    Returns ``prober(index, edit)`` as the
-    :class:`~repro.remedy.RemedyEngine` expects: a targeted
-    re-execution of one cell, or ``None`` when the edit does not apply.
-    Probes call the scenario runner directly — no campaign tracer, no
-    checkpoint store, no diagnosis tee — so they are invisible to the
-    campaign's own output.
-    """
-    import dataclasses as _dc
-
-    from repro.obs.sinks import ListSink
-    from repro.obs.tracer import Tracer
-    from repro.remedy.playbooks import WATCHDOG_SLACK, ProbeRun
-
-    def prober(index: int, edit: str):
-        args = items[index]
-        if edit == "strip-faults":
-            config = args[0]
-            if not scenario.bench or getattr(config, "fault_plan", None) is None:
-                return None
-            stripped = _dc.replace(config, fault_plan=None)
-            return ProbeRun(result=scenario.runner(stripped, *args[1:]))
-        if edit == "relax-watchdog":
-            if watchdog is None or not scenario.bench:
-                return None
-            relaxed = watchdog.scaled(WATCHDOG_SLACK)
-            return ProbeRun(result=scenario.runner(args[0], relaxed))
-        if edit == "traced":
-            if not scenario.bench:
-                # Non-bench runners take no tracer; an isolated plain
-                # re-run still answers transient-vs-persistent.
-                return ProbeRun(result=scenario.runner(*args))
-            sink = ListSink()
-            probe_tracer = Tracer(sink)
-            try:
-                result = scenario.runner(*args, tracer=probe_tracer)
-            finally:
-                probe_tracer.close()
-            return ProbeRun(result=result, records=len(sink))
-        return None
-
-    return prober
-
-
 def run_spec(
     spec: CampaignSpec,
     workers: int = 1,
@@ -136,7 +90,6 @@ def run_spec(
     diagnosis=None,
     watchdog=None,
     metrics=None,
-    remedy=None,
 ) -> CampaignRun:
     """Execute a campaign spec end to end (see the module doc).
 
@@ -154,17 +107,8 @@ def run_spec(
     :class:`~repro.obs.metrics.MetricsRegistry`) receives the
     ``campaign.*`` counters.
 
-    ``remedy`` (a :class:`repro.remedy.RemedyEngine`) closes the loop:
-    the engine binds it a *prober* that can re-execute any cell with a
-    targeted edit — fault plan stripped, watchdog budget relaxed, or
-    tracing forced on — so remediation playbooks can classify flagged
-    and quarantined cells.  Probes run the cell's scenario runner
-    directly, outside the checkpoint store and the campaign trace, so
-    remediation never changes a single report byte.
-
     Raises :class:`~repro.errors.CampaignError` with salvaged outcomes
-    attached if any cell was quarantined after retries (the remedy
-    engine, if given, has still seen — and probed — every quarantine).
+    attached if any cell was quarantined after retries.
     """
     from repro.obs.metrics import MetricsRegistry
     from repro.parallel import ParallelRunner, _require_all_ok
@@ -208,14 +152,11 @@ def run_spec(
         def fn(*args):
             return runner_fn(*args, tracer=tracer)
 
-    if remedy is not None:
-        remedy.bind_prober(_cell_prober(scenario, items, watchdog))
-
     runner = ParallelRunner(workers, policy=policy)
     outcomes = runner.map_outcomes(
         fn, items,
         checkpoint=checkpoint, labels=labels, keys=keys,
-        tracer=tracer, diagnosis=diagnosis, remedy=remedy,
+        tracer=tracer, diagnosis=diagnosis,
     )
     results = _require_all_ok(outcomes)
 

@@ -646,29 +646,17 @@ def _add_diagnose(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_remedy(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--remediate", action="store_true",
-        help="fire remediation playbooks on diagnosis findings and "
-             "quarantines: flagged cells are re-run with their fault "
-             "plan stripped (environment-vs-config root cause), "
-             "watchdog quarantines retried with a relaxed budget, other "
-             "quarantines re-run in isolation; prints a "
-             "repro-remediation-v1 report. Never changes campaign "
-             "output",
-    )
-    parser.add_argument(
-        "--playbooks", default=None, metavar="PATH",
-        help="with --remediate: a repro-remedy-config-v1 JSON naming "
-             "the playbooks to run (in order) and the probe budget "
-             "(see examples/remedy_playbooks.json; default: all "
-             "playbooks)",
-    )
-    parser.add_argument(
-        "--remedy-budget", type=int, default=None, metavar="N",
-        help="with --remediate: cap on probe re-executions for the "
-             "whole campaign (default 8; overrides --playbooks)",
-    )
+def _load_trace(path):
+    """The records of the trace at ``path``, or None once the reason it
+    cannot be read is on stderr (the command then exits 1)."""
+    from repro.errors import ObservabilityError
+    from repro.obs import read_jsonl
+
+    try:
+        return read_jsonl(path)
+    except (OSError, ValueError, ObservabilityError) as exc:
+        print(f"{path}: unreadable trace: {exc}", file=sys.stderr)
+        return None
 
 
 def _cmd_diagnose(args) -> int:
@@ -684,7 +672,6 @@ def _cmd_diagnose(args) -> int:
     )
     from repro.diagnose.scoring import render_score
     from repro.errors import DiagnosisError
-    from repro.obs import read_jsonl
 
     if args.follow:
         def on_progress(classifier, new_records):
@@ -700,10 +687,8 @@ def _cmd_diagnose(args) -> int:
             on_progress=on_progress if not args.quiet else None,
         )
     else:
-        try:
-            records = read_jsonl(args.path)
-        except OSError as exc:
-            print(f"{args.path}: unreadable trace: {exc}", file=sys.stderr)
+        records = _load_trace(args.path)
+        if records is None:
             return 1
         report = diagnose_records(records)
 
@@ -772,7 +757,10 @@ def _cmd_diagnose(args) -> int:
 def _cmd_trace_summarize(args) -> int:
     from repro.obs import render_summary, summarize_records
 
-    print(render_summary(summarize_records(args.path)))
+    records = _load_trace(args.path)
+    if records is None:
+        return 1
+    print(render_summary(summarize_records(records)))
     return 0
 
 
@@ -781,9 +769,12 @@ def _cmd_trace_filter(args) -> int:
 
     from repro.obs import filter_records
 
+    records = _load_trace(args.path)
+    if records is None:
+        return 1
     shown = 0
     for record in filter_records(
-        args.path,
+        records,
         type_=args.type,
         src=args.src,
         since_ns=args.since_ns,
@@ -796,45 +787,11 @@ def _cmd_trace_filter(args) -> int:
     return 0
 
 
-def _remedy_from(args):
-    """A RemedyEngine from --remediate/--playbooks/--remedy-budget."""
-    if not getattr(args, "remediate", False):
-        return None
-    from repro.remedy import DEFAULT_BUDGET, RemedyEngine, load_playbook_config
-
-    playbooks, budget = None, DEFAULT_BUDGET
-    if getattr(args, "playbooks", None):
-        playbooks, budget = load_playbook_config(args.playbooks)
-    if getattr(args, "remedy_budget", None) is not None:
-        budget = args.remedy_budget
-    return RemedyEngine(playbooks=playbooks, budget=budget)
-
-
-def _report_remedy(remedy, campaign: str, spec_digest, json_path) -> None:
-    """Print (and optionally write) the remediation report."""
-    import pathlib as _pathlib
-
-    from repro.remedy import render_report
-
-    if remedy is None:
-        return
-    report = remedy.report(campaign, spec_digest)
-    print(render_report(report))
-    if json_path:
-        if json_path == "-":
-            sys.stdout.write(report.to_canonical())
-        else:
-            target = _pathlib.Path(json_path)
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(report.to_canonical())
-            print(f"remediation report written to {json_path}")
-
-
 def _cmd_campaign_run(args) -> int:
     import pathlib as _pathlib
 
     from repro.campaign import load_spec, run_spec
-    from repro.errors import CampaignError, CampaignSpecError, RemedyError
+    from repro.errors import CampaignError, CampaignSpecError
 
     try:
         spec = load_spec(args.spec)
@@ -850,28 +807,15 @@ def _cmd_campaign_run(args) -> int:
     policy, checkpoint = _supervise_from(args)
     diagnosis = _diagnosis_from(args)
     try:
-        remedy = _remedy_from(args)
-    except RemedyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
         run = run_spec(
             spec, workers=args.workers, policy=policy,
             checkpoint=checkpoint, tracer=tracer, diagnosis=diagnosis,
-            remedy=remedy,
         )
     except CampaignSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CampaignError as exc:
-        # Quarantined cells: the campaign is a failure, but remediation
-        # has already probed every quarantine — surface its verdicts
-        # before exiting nonzero.
         print(f"error: {exc}", file=sys.stderr)
-        _report_remedy(
-            remedy, spec.name, spec.digest(),
-            getattr(args, "remedy_json", None),
-        )
         _finish_tracer(tracer, args.trace)
         return 1
     print(run.report.render())
@@ -884,41 +828,10 @@ def _cmd_campaign_run(args) -> int:
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_text(run.report.to_canonical())
             print(f"importance report written to {args.json}")
-    _report_remedy(
-        remedy, spec.name, run.matrix.spec_digest,
-        getattr(args, "remedy_json", None),
-    )
     _report_diagnosis(diagnosis)
     _report_cache(checkpoint)
     _finish_tracer(tracer, args.trace)
     return 0
-
-
-def _cmd_serve(args) -> int:
-    from repro.errors import ServiceError
-    from repro.service import ReproService, ServiceConfig
-
-    config = ServiceConfig(
-        spool=args.spool,
-        state_dir=args.state,
-        host=args.host,
-        port=args.port,
-        poll_s=args.poll,
-        workers=args.workers,
-        measure_ms=args.measure_ms,
-        remediate=args.remediate,
-        playbooks=args.playbooks,
-        remedy_budget=args.remedy_budget,
-        once=args.once,
-        quiet=args.quiet,
-    )
-    try:
-        service = ReproService(config)
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    service.install_signal_handlers()
-    return service.serve_forever()
 
 
 def _cmd_campaign_expand(args) -> int:
@@ -986,9 +899,11 @@ def _cmd_campaign_validate(args) -> int:
 
 
 def _cmd_trace_validate(args) -> int:
-    from repro.obs import read_jsonl, validate_stream
+    from repro.obs import validate_stream
 
-    records = read_jsonl(args.path)
+    records = _load_trace(args.path)
+    if records is None:
+        return 1
     problems = validate_stream(records)
     if problems:
         for problem in problems[:20]:
@@ -1017,7 +932,6 @@ _COMMAND_SUMMARY: tuple[tuple[str, str], ...] = (
     ("diagnose", "fault diagnosis over a trace (repro-diagnosis-v1)"),
     ("trace", "record/summarize/filter/validate repro-trace-v1"),
     ("campaign", "declarative ablation campaigns (repro-campaign-v1)"),
-    ("serve", "long-running campaign service over a spool directory"),
 )
 
 
@@ -1360,11 +1274,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workers(p_crun)
     _add_supervise(p_crun)
     _add_diagnose(p_crun)
-    _add_remedy(p_crun)
-    p_crun.add_argument("--remedy-json", default=None, metavar="PATH",
-                        help="with --remediate: write the "
-                             "repro-remediation-v1 report as canonical "
-                             "JSON ('-' for stdout)")
     p_crun.set_defaults(func=_cmd_campaign_run)
 
     p_cexpand = campaign_sub.add_parser(
@@ -1384,43 +1293,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cvalidate.add_argument("path", help="spec or report file")
     p_cvalidate.set_defaults(func=_cmd_campaign_validate)
-
-    p_serve = sub.add_parser(
-        "serve",
-        help="long-running campaign service: watch a spool directory "
-             "for repro-campaign-v1 specs, execute each through the "
-             "supervised engine with checkpoints, and expose read-only "
-             "HTTP status (see docs/SERVICE.md)",
-    )
-    p_serve.add_argument("--spool", required=True, metavar="DIR",
-                         help="directory watched for campaign specs "
-                              "(.json/.yaml/.yml; created if missing)")
-    p_serve.add_argument("--state", required=True, metavar="DIR",
-                         help="service state directory: the "
-                              "repro-service-v1 journal, the heartbeat "
-                              "file, and one checkpointed subdirectory "
-                              "per campaign")
-    p_serve.add_argument("--host", default="127.0.0.1",
-                         help="HTTP status bind address (default "
-                              "127.0.0.1)")
-    p_serve.add_argument("--port", type=int, default=0,
-                         help="HTTP status port (default 0 = ephemeral; "
-                              "the bound port is in the heartbeat file)")
-    p_serve.add_argument("--poll", type=float, default=0.5,
-                         metavar="SECONDS",
-                         help="spool scan interval (default 0.5)")
-    p_serve.add_argument("--measure-ms", type=int, default=None,
-                         help="override every spec's measurement window "
-                              "in simulated ms (part of the campaign's "
-                              "identity: changing it is a new campaign)")
-    p_serve.add_argument("--once", action="store_true",
-                         help="process the spool's current contents, "
-                              "then exit instead of watching")
-    p_serve.add_argument("--quiet", action="store_true",
-                         help="suppress progress lines on stderr")
-    _add_workers(p_serve)
-    _add_remedy(p_serve)
-    p_serve.set_defaults(func=_cmd_serve)
 
     return parser
 

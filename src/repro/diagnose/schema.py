@@ -97,7 +97,9 @@ def validate_report(document) -> list[str]:
 
     Empty list means the document is a valid ``repro-diagnosis-v1``
     report.  Checks structure, field types, enum values, and internal
-    consistency (summary counts match the runs they summarize).
+    consistency (summary counts match the runs they summarize).  Each
+    check waits only on the field check of the objects it reads, so one
+    call reports every problem.
     """
     problems = check_fields(document, DOCUMENT["report"]["fields"], "report")
     if problems:
@@ -108,43 +110,52 @@ def validate_report(document) -> list[str]:
         )
     total_findings = 0
     total_connections = 0
+    counted = True
     for rindex, run in enumerate(document["runs"]):
         where = f"runs[{rindex}]"
-        problems.extend(check_fields(run, DOCUMENT["run"]["fields"], where))
-        if problems:
+        run_problems = check_fields(run, DOCUMENT["run"]["fields"], where)
+        problems.extend(run_problems)
+        if run_problems:
+            counted = False
             continue
         if run["end_ns"] < run["start_ns"]:
             problems.append(f"{where}: end_ns precedes start_ns")
         for cindex, conn in enumerate(run["connections"]):
             cwhere = f"{where}.connections[{cindex}]"
-            problems.extend(
-                check_fields(conn, DOCUMENT["connection"]["fields"], cwhere)
+            conn_problems = check_fields(
+                conn, DOCUMENT["connection"]["fields"], cwhere
             )
-            if not problems and conn["verdict"] not in _LIMIT_LABELS:
+            problems.extend(conn_problems)
+            if not conn_problems and conn["verdict"] not in _LIMIT_LABELS:
                 problems.append(
                     f"{cwhere}: unknown verdict {conn['verdict']!r}"
                 )
         for findex, finding in enumerate(run["findings"]):
             fwhere = f"{where}.findings[{findex}]"
-            problems.extend(
-                check_fields(finding, DOCUMENT["finding"]["fields"], fwhere)
+            finding_problems = check_fields(
+                finding, DOCUMENT["finding"]["fields"], fwhere
             )
-            if not problems and finding["class"] not in FINDING_CLASSES:
+            problems.extend(finding_problems)
+            if (not finding_problems
+                    and finding["class"] not in FINDING_CLASSES):
                 problems.append(
                     f"{fwhere}: unknown class {finding['class']!r}"
                 )
         total_findings += len(run["findings"])
         total_connections += len(run["connections"])
     summary = document["summary"]
-    problems.extend(
-        check_fields(summary, DOCUMENT["summary"]["fields"], "summary")
+    summary_problems = check_fields(
+        summary, DOCUMENT["summary"]["fields"], "summary"
     )
-    if not problems:
-        if summary["runs"] != len(document["runs"]):
-            problems.append(
-                f"summary: runs={summary['runs']} but document has "
-                f"{len(document['runs'])}"
-            )
+    problems.extend(summary_problems)
+    if summary_problems:
+        return problems
+    if summary["runs"] != len(document["runs"]):
+        problems.append(
+            f"summary: runs={summary['runs']} but document has "
+            f"{len(document['runs'])}"
+        )
+    if counted:
         if summary["findings"] != total_findings:
             problems.append(
                 f"summary: findings={summary['findings']} but runs hold "

@@ -90,14 +90,3 @@ class CampaignSpecError(ReproError):
     """A declarative campaign spec is malformed: unknown schema,
     invalid field, unresolvable override, or a matrix/metric selection
     the spec's scenario cannot satisfy."""
-
-
-class RemedyError(ReproError):
-    """Remediation-layer misuse: an unknown playbook name, a malformed
-    playbook config, an invalid budget, or a malformed
-    ``repro-remediation-v1`` report."""
-
-
-class ServiceError(ReproError):
-    """Service-mode misuse: an unusable spool/state directory, a corrupt
-    ``repro-service-v1`` journal, or an invalid daemon configuration."""

@@ -41,6 +41,8 @@ _EXPORTS = {
     "Histogram": ".metrics",
     "MetricsRegistry": ".metrics",
     "collect_run_metrics": ".metrics",
+    "require_valid_metrics": ".metrics",
+    "validate_metrics": ".metrics",
     "RECORD_TYPES": ".schema",
     "SCHEMA": ".schema",
     "require_valid_stream": ".schema",

@@ -25,9 +25,49 @@ toggler) and fills a registry with the catalog documented in
 
 from __future__ import annotations
 
+from repro._fields import check_fields, require_valid
 from repro.errors import ObservabilityError
 
 METRICS_SCHEMA = "repro-metrics-v1"
+
+_NUMBER_OR_NULL = (int, float, type(None))
+
+#: The snapshot layout, one field table per JSON object kind, as
+#: :mod:`repro._fields` reads them (``docs/OBSERVABILITY.md`` renders
+#: them).
+METRICS_DOCUMENT: dict[str, dict] = {
+    "snapshot": {
+        "doc": (
+            "Top-level document: what `MetricsRegistry.snapshot()` "
+            "returns, `repro run --metrics` writes and a "
+            "`metrics.snapshot` record carries."
+        ),
+        "fields": {
+            "schema": (str, f"schema version; always {METRICS_SCHEMA!r}"),
+            "counters": (dict, "metric name -> count (an int, never a bool)"),
+            "gauges": (
+                dict,
+                "metric name -> last value set (a number; null if never set)",
+            ),
+            "histograms": (dict, "metric name -> ``histogram`` object"),
+        },
+    },
+    "histogram": {
+        "doc": "One histogram's summary.",
+        "fields": {
+            "count": (int, "observations"),
+            "sum": ((int, float), "sum of the observations"),
+            "min": (_NUMBER_OR_NULL, "smallest observation; null before any"),
+            "max": (_NUMBER_OR_NULL, "largest observation; null before any"),
+            "mean": (_NUMBER_OR_NULL, "sum / count; null before any"),
+            "buckets": (
+                dict,
+                "exponent e (a string) -> observations with "
+                "ceil(log2(value)) = e; '0' holds every value <= 1",
+            ),
+        },
+    },
+}
 
 
 class Counter:
@@ -171,6 +211,46 @@ class MetricsRegistry:
         }
 
 
+def validate_metrics(snapshot) -> list[str]:
+    """Check a parsed ``repro-metrics-v1`` snapshot; return its problems.
+
+    Empty list means the snapshot is valid: the field tables hold, every
+    counter is an int (not a bool) and every gauge a number or null.
+    """
+    problems = check_fields(
+        snapshot, METRICS_DOCUMENT["snapshot"]["fields"], "metrics"
+    )
+    if problems:
+        return problems
+    if snapshot["schema"] != METRICS_SCHEMA:
+        problems.append(
+            f"metrics: schema is {snapshot['schema']!r}, "
+            f"expected {METRICS_SCHEMA!r}"
+        )
+    problems += _check_values(snapshot["counters"], int, "metrics.counters")
+    problems += _check_values(
+        snapshot["gauges"], _NUMBER_OR_NULL, "metrics.gauges"
+    )
+    for name, histogram in snapshot["histograms"].items():
+        problems += check_fields(
+            histogram, METRICS_DOCUMENT["histogram"]["fields"],
+            f"metrics.histograms[{name!r}]",
+        )
+    return problems
+
+
+def _check_values(mapping: dict, types, where: str) -> list[str]:
+    """Problems with a name -> value map whose values must all be ``types``."""
+    return check_fields(mapping, dict.fromkeys(mapping, (types, "")), where)
+
+
+def require_valid_metrics(snapshot) -> None:
+    """Raise :class:`ObservabilityError` unless the snapshot validates."""
+    require_valid(
+        validate_metrics(snapshot), METRICS_SCHEMA, ObservabilityError
+    )
+
+
 def collect_run_metrics(bed, result=None, toggler=None) -> MetricsRegistry:
     """Harvest the standard metrics catalog from a finished testbed.
 
@@ -230,7 +310,7 @@ def collect_run_metrics(bed, result=None, toggler=None) -> MetricsRegistry:
         registry.counter("toggler.loss_episodes").inc(toggler.loss_episodes)
         registry.counter("toggler.frozen_ticks").inc(toggler.frozen_ticks)
         registry.counter("toggler.freeze_holds").inc(toggler.freeze_holds)
-        registry.gauge("toggler.final_mode").set(toggler.mode)
+        registry.gauge("toggler.final_mode").set(int(toggler.mode))
         dwell = registry.histogram("toggler.dwell_ticks")
         last_change = 0
         previous = None

@@ -252,36 +252,6 @@ RECORD_TYPES: dict[str, dict] = {
             ),
         },
     },
-    "remedy.action": {
-        "doc": (
-            "A remediation playbook fired on a supervised job (see "
-            "docs/SERVICE.md, 'Remediation playbooks')."
-        ),
-        "fields": {
-            "playbook": (str, "playbook name, e.g. 'confirm-environment'"),
-            "index": (int, "job position in the submitted campaign"),
-            "key": (str, "content digest of the job's config"),
-            "trigger": (str, "'finding' | 'quarantine' — what fired it"),
-        },
-    },
-    "remedy.verdict": {
-        "doc": (
-            "A remediation playbook finished its probe and classified "
-            "the episode's root cause."
-        ),
-        "fields": {
-            "playbook": (str, "playbook name, e.g. 'confirm-environment'"),
-            "index": (int, "job position in the submitted campaign"),
-            "key": (str, "content digest of the job's config"),
-            "verdict": (
-                str,
-                "'environment' | 'config' | 'recovered-with-slack' | "
-                "'persistent' | 'transient' | 'skipped'",
-            ),
-            "probes": (int, "probe re-executions the playbook performed"),
-            "detail": (str, "human-readable justification"),
-        },
-    },
     "metrics.snapshot": {
         "doc": (
             "A repro-metrics-v1 registry snapshot, typically appended "
@@ -339,9 +309,14 @@ def validate_record(record: dict) -> list[str]:
     spec = RECORD_TYPES.get(rtype)
     if spec is None:
         return problems + [f"unknown record type {rtype!r}"]
-    return problems + check_fields(
-        record, spec["fields"], rtype, also=COMMON_FIELDS
-    )
+    typed = check_fields(record, spec["fields"], rtype, also=COMMON_FIELDS)
+    if rtype == "metrics.snapshot" and not typed:
+        # Imported here: a tracer loads this module when a testbed is
+        # set up, and a run never needs the metrics registry.
+        from repro.obs.metrics import validate_metrics
+
+        typed = validate_metrics(record["metrics"])
+    return problems + typed
 
 
 def validate_stream(records: Iterable[dict]) -> list[str]:

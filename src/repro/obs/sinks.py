@@ -160,8 +160,8 @@ class JsonlTail:
     newline arrives, so a live reader never crashes on a torn write and
     never yields a record twice.  The file may not exist yet (poll
     returns nothing); a *rotated* file — truncated in place, or
-    unlinked and recreated (the service's log-rotation pattern) — is a
-    fresh stream at the same path and is re-read from the start.
+    unlinked and recreated, as log rotation does — is a fresh stream at
+    the same path and is re-read from the start.
     Rotation is detected three ways: a size below the read offset (a
     truncate), an inode change (a recreate), and a changed *content
     fingerprint* — the first bytes already consumed no longer match

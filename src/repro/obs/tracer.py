@@ -280,33 +280,6 @@ class Tracer:
                 pathological=pathological,
             )
 
-    def remedy_action(
-        self, playbook: str, index: int, key: str, trigger: str
-    ) -> None:
-        """A ``remedy.action``: a remediation playbook fired on a job."""
-        if self.enabled:
-            self.emit(
-                "remedy.action", "remedy",
-                playbook=playbook, index=index, key=key, trigger=trigger,
-            )
-
-    def remedy_verdict(
-        self,
-        playbook: str,
-        index: int,
-        key: str,
-        verdict: str,
-        probes: int,
-        detail: str,
-    ) -> None:
-        """A ``remedy.verdict``: a playbook classified the root cause."""
-        if self.enabled:
-            self.emit(
-                "remedy.verdict", "remedy",
-                playbook=playbook, index=index, key=key,
-                verdict=verdict, probes=probes, detail=detail,
-            )
-
     def log_message(self, message: str) -> None:
         """A ``log.message``: a progress line mirrored into the trace."""
         if self.enabled:

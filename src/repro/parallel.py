@@ -204,7 +204,7 @@ class ParallelRunner:
         self.last_metrics = None
 
     def _supervisor(
-        self, n: int, checkpoint, tracer, diagnosis=None, remedy=None,
+        self, n: int, checkpoint, tracer, diagnosis=None,
     ) -> Supervisor:
         supervisor = Supervisor(
             workers=min(self.workers, n),
@@ -213,7 +213,6 @@ class ParallelRunner:
             checkpoint=_as_store(checkpoint),
             tracer=tracer,
             diagnosis=diagnosis,
-            remedy=remedy,
         )
         self.last_metrics = supervisor.metrics
         return supervisor
@@ -230,7 +229,6 @@ class ParallelRunner:
         checkpoint=None,
         watchdog: Watchdog | None = None,
         diagnosis=None,
-        remedy=None,
     ) -> list[JobOutcome]:
         """Supervised campaign; outcomes align index-for-index.
 
@@ -251,10 +249,6 @@ class ParallelRunner:
         hook reads the trace stream) and is attached to it here if not
         already.  Raises :class:`~repro.errors.DiagnosisError` when
         given without a tracer.
-
-        ``remedy`` (a :class:`repro.remedy.RemedyEngine`) receives
-        flagged completions and quarantines; it observes only and never
-        changes an outcome.
         """
         from repro.loadgen.lancet import run_benchmark
 
@@ -280,9 +274,7 @@ class ParallelRunner:
                     config, tweak=tweak, tracer=tracer, watchdog=watchdog
                 )
 
-            supervisor = self._supervisor(
-                1, checkpoint, tracer, diagnosis, remedy
-            )
+            supervisor = self._supervisor(1, checkpoint, tracer, diagnosis)
             return supervisor.run(
                 traced, list(enumerate(configs)), keys=keys, labels=labels
             )
@@ -293,9 +285,7 @@ class ParallelRunner:
                 "(use a module-level tweak function, or workers=1)",
                 stacklevel=2,
             )
-            supervisor = self._supervisor(
-                1, checkpoint, tracer, remedy=remedy
-            )
+            supervisor = self._supervisor(1, checkpoint, tracer)
             return supervisor.run(
                 lambda config: run_benchmark(
                     config, tweak=tweak, watchdog=watchdog
@@ -303,7 +293,7 @@ class ParallelRunner:
                 list(configs), keys=keys, labels=labels,
             )
 
-        supervisor = self._supervisor(n, checkpoint, tracer, remedy=remedy)
+        supervisor = self._supervisor(n, checkpoint, tracer)
         payloads = [(config, tweak, watchdog) for config in configs]
         return supervisor.run(_run_config, payloads, keys=keys, labels=labels)
 
@@ -315,7 +305,6 @@ class ParallelRunner:
         checkpoint=None,
         watchdog: Watchdog | None = None,
         diagnosis=None,
-        remedy=None,
     ) -> list[RunResult]:
         """Run every config; results align index-for-index with ``configs``.
 
@@ -329,7 +318,7 @@ class ParallelRunner:
             self.run_many_outcomes(
                 configs, tweak=tweak, tracer=tracer,
                 checkpoint=checkpoint, watchdog=watchdog,
-                diagnosis=diagnosis, remedy=remedy,
+                diagnosis=diagnosis,
             )
         )
 
@@ -346,7 +335,6 @@ class ParallelRunner:
         keys: Sequence[str] | None = None,
         tracer=None,
         diagnosis=None,
-        remedy=None,
     ) -> list[JobOutcome]:
         """Supervised :meth:`map`: typed outcomes instead of raising.
 
@@ -376,9 +364,7 @@ class ParallelRunner:
                     tracer.log_message(f"campaign run {index + 1}/{n}: {name}")
                 return _apply(inner)
 
-            supervisor = self._supervisor(
-                1, checkpoint, tracer, diagnosis, remedy
-            )
+            supervisor = self._supervisor(1, checkpoint, tracer, diagnosis)
             return supervisor.run(
                 traced, list(enumerate(payloads)), keys=keys, labels=labels
             )
@@ -388,9 +374,9 @@ class ParallelRunner:
                 "(use a module-level function, or workers=1)",
                 stacklevel=2,
             )
-            supervisor = self._supervisor(1, checkpoint, None, remedy=remedy)
+            supervisor = self._supervisor(1, checkpoint, None)
         else:
-            supervisor = self._supervisor(n, checkpoint, None, remedy=remedy)
+            supervisor = self._supervisor(n, checkpoint, None)
         return supervisor.run(_apply, payloads, keys=keys, labels=labels)
 
     def map(self, fn: Callable[..., _R], items: Sequence) -> list[_R]:
@@ -413,13 +399,11 @@ def run_campaign(
     checkpoint=None,
     watchdog: Watchdog | None = None,
     diagnosis=None,
-    remedy=None,
 ) -> list[RunResult]:
     """One-shot convenience: ``ParallelRunner(workers).run_many(configs)``."""
     runner = ParallelRunner(workers, start_method=start_method, policy=policy)
     return runner.run_many(
         configs, tweak=tweak, tracer=tracer,
         checkpoint=checkpoint, watchdog=watchdog, diagnosis=diagnosis,
-        remedy=remedy,
     )
 

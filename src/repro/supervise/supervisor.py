@@ -53,7 +53,6 @@ from concurrent.futures import wait as futures_wait
 from typing import Callable, Sequence
 
 from repro.errors import WatchdogError
-from repro.obs.log import NULL_LOG
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
 from repro.supervise.checkpoint import CheckpointStore, derive_keys
@@ -129,12 +128,6 @@ class Supervisor:
     job (kind ``diagnosis``) instead of completing it.  Diagnosis needs
     the trace stream, which only exists in-process, so it pairs with
     ``workers=1`` + a tracer (the configuration tracing already forces).
-
-    ``remedy`` is a :class:`repro.remedy.RemedyEngine`: completed jobs
-    that drew diagnosis findings and every quarantine are forwarded to
-    it so remediation playbooks can probe and classify the root cause.
-    Remediation observes only — it never changes an outcome, the
-    checkpoint store, or the campaign's trace-derived diagnosis.
     """
 
     def __init__(
@@ -144,9 +137,7 @@ class Supervisor:
         policy: SupervisePolicy | None = None,
         checkpoint: CheckpointStore | None = None,
         tracer=None,
-        log=None,
         diagnosis=None,
-        remedy=None,
     ):
         self.workers = max(1, workers)
         self.start_method = start_method
@@ -154,14 +145,8 @@ class Supervisor:
         self.policy.validate()
         self.checkpoint = checkpoint
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.log = log if log is not None else NULL_LOG
         self.metrics = MetricsRegistry()
         self.diagnosis = diagnosis
-        self.remedy = remedy
-        if remedy is not None:
-            remedy.bind_runtime(
-                tracer=self.tracer, metrics=self.metrics, log=self.log,
-            )
 
     # ------------------------------------------------------------------
     # Entry point.
@@ -229,15 +214,8 @@ class Supervisor:
             jobs.append(_Job(index, payload, key, label))
         if hits:
             self.metrics.counter("supervise.checkpoint_hits").inc(hits)
-            self.log.info(
-                f"resume: skipped {hits}/{n} jobs already checkpointed"
-            )
         if duplicates:
             self.metrics.counter("supervise.deduped").inc(len(duplicates))
-            self.log.info(
-                f"dedup: {len(duplicates)}/{n} jobs share another job's "
-                f"content key; running each key once"
-            )
 
         if jobs:
             if min(self.workers, len(jobs)) <= 1:
@@ -270,9 +248,7 @@ class Supervisor:
     # ------------------------------------------------------------------
 
     def _complete(self, outcomes, job: _Job, result) -> None:
-        if self.diagnosis is not None and not self._diagnose(
-            outcomes, job, result
-        ):
+        if self.diagnosis is not None and not self._diagnose(outcomes, job):
             return  # pathological verdict escalated to quarantine
         outcome = JobSuccess(
             index=job.index, key=job.key, result=result,
@@ -284,23 +260,18 @@ class Supervisor:
                 job.key, result, attempts=outcome.attempts, label=job.label,
             )
 
-    def _diagnose(self, outcomes, job: _Job, result) -> bool:
+    def _diagnose(self, outcomes, job: _Job) -> bool:
         """Score the job's trace segment; False quarantines the job.
 
         Runs before the success is recorded so a quarantined-by-verdict
         job is never checkpointed (a later resume re-runs and re-judges
-        it).  A flagged-but-not-quarantined job is handed to the remedy
-        engine (with its result, for digest comparison probes).
+        it).
         """
         verdict = self.diagnosis.job_completed(job.index, job.key)
         self.metrics.gauge("diagnose.connections").set(verdict.connections)
         self.metrics.counter("diagnose.findings").inc(verdict.findings)
         if verdict.findings:
             self.metrics.counter("diagnose.flagged_jobs").inc()
-            self.log.info(
-                f"diagnosis: job {job.index} ({job.key[:12]}): "
-                f"{verdict.describe()}"
-            )
         if self.tracer.enabled:
             self.tracer.diagnosis_verdict(
                 job.index, job.key, verdict.connections,
@@ -315,11 +286,6 @@ class Supervisor:
                 f"{', '.join(verdict.classes)}", None,
             )
             return False
-        if verdict.findings and self.remedy is not None:
-            self.remedy.job_flagged(
-                job.index, job.key, job.label,
-                verdict.findings, verdict.classes, result,
-            )
         return True
 
     def _quarantine(
@@ -340,11 +306,6 @@ class Supervisor:
             )
         if self.checkpoint is not None:
             self.checkpoint.record_failure(job.key, failure)
-        self.log.info(f"quarantined: {failure.describe()}")
-        if self.remedy is not None:
-            self.remedy.job_quarantined(
-                job.index, job.key, job.label, kind, error_type, message,
-            )
 
     def _schedule_retry(self, job: _Job, kind: str) -> None:
         """Embargo a failed job for its deterministic backoff window."""
@@ -430,7 +391,6 @@ class Supervisor:
     def _restart_pool(self, executor: ProcessPoolExecutor) -> None:
         """The pool died: tear it down; the next dispatch builds anew."""
         self.metrics.counter("supervise.pool_restarts").inc()
-        self.log.info("worker pool died; restarting on a fresh pool")
         self._kill_executor(executor)
 
     def _pop_eligible(self, pending: deque) -> _Job | None:

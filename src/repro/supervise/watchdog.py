@@ -19,7 +19,6 @@ instead of retrying work that will fail identically every time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.errors import SuperviseError
@@ -31,30 +30,6 @@ class Watchdog:
 
     max_events: int | None = None
     max_sim_time_ns: int | None = None
-
-    def scaled(self, factor: float) -> Watchdog:
-        """A watchdog with every defined budget multiplied by ``factor``.
-
-        The remediation layer's ``relax-watchdog`` playbook probes a
-        quarantined job with a slackened budget — a run that succeeds
-        under ``scaled(4)`` blew a budget set too tight, while one that
-        still fails is a genuine runaway.  Budgets round up, so scaling
-        never tightens.
-        """
-        if factor <= 0:
-            raise SuperviseError(
-                f"watchdog scale factor must be positive, got {factor}"
-            )
-        return Watchdog(
-            max_events=(
-                None if self.max_events is None
-                else math.ceil(self.max_events * factor)
-            ),
-            max_sim_time_ns=(
-                None if self.max_sim_time_ns is None
-                else math.ceil(self.max_sim_time_ns * factor)
-            ),
-        )
 
     def validate(self) -> None:
         """Raise on nonsensical budgets."""

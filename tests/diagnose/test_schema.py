@@ -88,6 +88,30 @@ class TestValidateReport:
         document["summary"]["by_class"] = {"loss": 99}
         assert validate_report(document) != []
 
+    def test_every_problem_reported_in_one_call(self):
+        document = _document()
+        document["schema"] = "repro-diagnosis-v0"
+        document["runs"][0]["start_ns"] = 10
+        document["runs"][0]["end_ns"] = 5
+        document["summary"]["runs"] = 7
+        document["summary"]["findings"] = 3
+        assert validate_report(document) == [
+            "report: schema is 'repro-diagnosis-v0', expected "
+            "'repro-diagnosis-v1'",
+            "runs[0]: end_ns precedes start_ns",
+            "summary: runs=7 but document has 1",
+            "summary: findings=3 but runs hold 1",
+        ]
+
+    def test_malformed_run_hides_only_the_counts_it_feeds(self):
+        document = _document()
+        del document["runs"][0]["findings"]
+        document["summary"]["runs"] = 7
+        assert validate_report(document) == [
+            "runs[0]: missing field 'findings'",
+            "summary: runs=7 but document has 1",
+        ]
+
 
 class TestRequireValidReport:
     def test_passes_silently(self):

@@ -94,6 +94,27 @@ class TestTraceReadback:
         assert main(["trace", "validate", str(bad)]) == 1
 
 
+class TestUnreadableTrace:
+    """Every command that reads a trace file fails with one line."""
+
+    @pytest.mark.parametrize("command", [
+        ["trace", "validate"], ["trace", "summarize"], ["trace", "filter"],
+        ["diagnose"],
+    ], ids=" ".join)
+    @pytest.mark.parametrize("content", [None, "[1, 2]\n", "not json\n"],
+                             ids=["missing", "not-an-object", "not-json"])
+    def test_exits_1_with_one_line(self, command, content, tmp_path, capsys):
+        path = tmp_path / "trace.jsonl"
+        if content is not None:
+            path.write_text(content)
+        assert main(command + [str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"{path}: unreadable trace: ")
+
+
 @pytest.mark.slow
 class TestRunFlags:
     def test_run_trace_and_metrics(self, tmp_path, capsys):

@@ -1,8 +1,7 @@
 """JsonlTail under log rotation, and a live follower surviving it.
 
-Rotation is the service's log-management pattern: the file a follower
-is attached to is truncated in place, or unlinked and recreated, while
-the follower keeps polling.  The tail must treat the rotated file as a
+Under log rotation the file a follower is attached to is truncated in
+place, or unlinked and recreated, while the follower keeps polling.  The tail must treat the rotated file as a
 fresh stream at the same path — re-read from the start, drop any
 buffered partial line from the old incarnation, and never yield a
 record twice — and ``repro diagnose --follow`` built on top must ride

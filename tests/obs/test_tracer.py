@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.schema import SCHEMA, validate_stream
 from repro.obs.sinks import ListSink
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -101,7 +102,7 @@ class TestTypedHelpers:
         tracer.fault_verdict("link.forward", "link", "loss-drop")
         tracer.tcp_event("client", "tx", detail={"bytes": 100})
         tracer.log_message("done")
-        tracer.metrics_snapshot({"schema": "repro-metrics-v1"})
+        tracer.metrics_snapshot(MetricsRegistry().snapshot())
         assert validate_stream(tracer.records) == []
 
     def test_toggled_derived_from_modes(self):

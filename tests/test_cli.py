@@ -35,39 +35,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
-    def test_serve_requires_spool_and_state(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve"])
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--spool", "s"])
-
-    def test_serve_defaults(self):
-        args = build_parser().parse_args([
-            "serve", "--spool", "in", "--state", "st",
-        ])
-        assert args.spool == "in"
-        assert args.state == "st"
-        assert args.host == "127.0.0.1"
-        assert args.port == 0
-        assert args.poll == 0.5
-        assert args.once is False
-        assert args.remediate is False
-
-    def test_serve_options(self):
-        args = build_parser().parse_args([
-            "serve", "--spool", "in", "--state", "st",
-            "--port", "8080", "--poll", "0.1", "--once", "--quiet",
-            "--measure-ms", "30", "--remediate",
-            "--playbooks", "pb.json",
-        ])
-        assert args.port == 8080
-        assert args.poll == 0.1
-        assert args.once
-        assert args.quiet
-        assert args.measure_ms == 30
-        assert args.remediate
-        assert args.playbooks == "pb.json"
-
 
 class TestInterrupt:
     """^C lands as a clean exit, not a traceback (POSIX 128+SIGINT)."""

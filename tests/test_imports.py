@@ -38,8 +38,8 @@ PACKAGES = [
 #: Modules a testbed run never executes, so its set-up must not load them.
 NOT_AT_SETUP = (
     "repro.parallel", "repro.supervise", "repro.campaign", "repro.diagnose",
-    "repro.remedy", "repro.service", "repro.sim.sync", "repro.sim.shard",
-    "multiprocessing", "concurrent.futures", "subprocess",
+    "repro.sim.sync", "repro.sim.shard", "multiprocessing",
+    "concurrent.futures", "subprocess",
 )
 
 TESTBED = """

@@ -40,7 +40,6 @@ DOC_FILES = [
     REPO / "docs" / "ARCHITECTURE.md",
     REPO / "docs" / "PERFORMANCE.md",
     REPO / "docs" / "CAMPAIGNS.md",
-    REPO / "docs" / "SERVICE.md",
 ]
 
 _HELP_BLOCK = re.compile(
@@ -63,12 +62,8 @@ SCHEMA_BLOCKS = {
     "repro-importance-schema": (
         "repro.campaign.schema", "IMPORTANCE_SCHEMA", "IMPORTANCE_DOCUMENT",
     ),
-    "repro-remedy-config-schema": (
-        "repro.remedy.schema", "CONFIG_SCHEMA", "CONFIG_DOCUMENT",
-    ),
-    "repro-remedy-schema": ("repro.remedy.schema", "SCHEMA", "DOCUMENT"),
-    "repro-service-schema": (
-        "repro.service.schema", "SERVICE_SCHEMA", "DOCUMENT",
+    "repro-metrics-schema": (
+        "repro.obs.metrics", "METRICS_SCHEMA", "METRICS_DOCUMENT",
     ),
     "repro-profile-schema": ("repro.profiling", "PROFILE_SCHEMA", "DOCUMENT"),
 }
