@@ -175,9 +175,10 @@ def measure_dense_sampling(reps: int = 3) -> dict:
 def measure_sharded(reps: int = 3, workers: int = 1) -> dict:
     """The decomposed fan-in, serial vs sharded: seconds per run.
 
-    Each run is the whole ``run_fanin_sharded`` call (partition,
-    windowed engine, workers and merge included); its events are the
-    simulator callbacks summed over every connection's sub-simulation.
+    Each run is the whole ``run_fanin_sharded`` call (partition, the
+    supervised campaign of shard jobs, workers and merge included); its
+    events are the simulator callbacks summed over every connection's
+    sub-simulation.
     On a single-CPU box the sharded run cannot beat the serial one —
     the caller records both and gates only the serial run.
     """
@@ -223,7 +224,7 @@ def measure_cross_shard(reps: int = 3) -> dict:
     ``bottleneck`` is N flows × one shared link, one window per
     lookahead.  Its cost depends on the window count, so it is
     recorded for the trajectory, not gated.  (The decomposed fan-in
-    runs on the same engine; :func:`measure_sharded` times it.)
+    is a plain campaign; :func:`measure_sharded` times it.)
     """
     from repro.experiments.bottleneck import (
         BottleneckConfig,

@@ -269,11 +269,11 @@ def test_perf_dense_sampling_pipeline():
 def test_perf_sharded_pipeline():
     """The decomposed fan-in: serial run time gated, sharding recorded.
 
-    The serial (1-shard, in-process) run through the windowed engine is
-    the machine-independent number the gate protects — sharding
-    overhead must never erode the single-core decomposed model.  The
-    2-shard run and the engine's native shared-bottleneck shape (whose
-    cost depends on its window count) are recorded for the
+    The serial (1-shard, in-process) run is the machine-independent
+    number the gate protects — sharding overhead must never erode the
+    single-core decomposed model.  The 2-shard run and the windowed
+    engine's shared-bottleneck shape (whose cost depends on its window
+    count) are recorded for the
     trajectory; a wall-clock win is only asserted where a second CPU
     exists to deliver it (byte-identity across shard counts is the
     equivalence suite's job, not wall-clock's).

@@ -11,7 +11,9 @@ bracketing an interval, apply GETAVGS per queue and combine per §3.2:
 The client view covers request-send → response-read as perceived at the
 client; the server view the converse.  Throughput is λ of the client's
 unacked queue (units acknowledged per second) — "trivial to measure"
-per the paper, reported for completeness.
+per the paper, reported for completeness.  Where one batching policy
+spans several connections, :func:`throughput_weighted` averages their
+estimates, as §3.2 suggests.
 """
 
 from __future__ import annotations
@@ -108,3 +110,23 @@ def window_estimate(
             f"have {len(inside)}"
         )
     return estimate_between(inside[0], inside[-1])
+
+
+def throughput_weighted(pairs) -> tuple[float, float] | None:
+    """Average per-connection latencies weighted by throughput (§3.2).
+
+    ``pairs`` yields ``(latency_ns, throughput)`` per connection, in
+    connection order.  A pair whose latency is None, or whose throughput
+    is None or not positive, is skipped: uniform averaging would let
+    idle connections dilute the estimate.  Returns ``(weighted mean,
+    total throughput)``, or None when no pair remains.
+    """
+    kept = [
+        (latency, throughput) for latency, throughput in pairs
+        if latency is not None and throughput is not None and throughput > 0
+    ]
+    if not kept:
+        return None
+    total = sum(throughput for _, throughput in kept)
+    weighted = sum(latency * throughput for latency, throughput in kept)
+    return weighted / total, total

@@ -89,6 +89,22 @@ def _add_supervise(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _asks_supervision(args) -> bool:
+    """Whether any of --workers, --resume, --cache-dir, --retries or
+    --job-timeout is set."""
+    return args.workers != 1 or any(
+        getattr(args, flag) is not None
+        for flag in ("resume", "cache_dir", "retries", "job_timeout")
+    )
+
+
+def _refuse(message: str) -> int:
+    """Print ``error: message`` as one stderr line; returns exit code 2,
+    the code for flags a command's model would ignore."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _supervise_from(args):
     """(policy, checkpoint) from --retries/--job-timeout/--resume/
     --cache-dir flags."""
@@ -107,12 +123,10 @@ def _supervise_from(args):
     resume = getattr(args, "resume", None)
     cache_dir = getattr(args, "cache_dir", None)
     if resume is not None and cache_dir is not None:
-        print(
-            "error: --resume and --cache-dir both name a result store; "
-            "pick one (a cache directory already resumes matching runs)",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
+        raise SystemExit(_refuse(
+            "--resume and --cache-dir both name a result store; "
+            "pick one (a cache directory already resumes matching runs)"
+        ))
     if cache_dir is not None:
         from repro.cache import ResultCache
 
@@ -322,6 +336,17 @@ def _cmd_fanin(args) -> int:
         run_fanin_sharded,
     )
 
+    if args.shards is None and _asks_supervision(args):
+        return _refuse(
+            "repro fanin without --shards runs in-process; "
+            "--workers, --resume, --cache-dir, --retries and "
+            "--job-timeout apply only with --shards"
+        )
+    if args.shards is not None and args.toggler:
+        return _refuse(
+            "repro fanin --shards runs the decomposed model; "
+            "--toggler applies only without --shards"
+        )
     config = FaninConfig(
         clients=args.clients,
         total_rate_per_sec=args.rate,
@@ -331,19 +356,13 @@ def _cmd_fanin(args) -> int:
         seed=args.seed,
     )
     policy, checkpoint = _supervise_from(args)
-    tracer = _make_tracer(args.trace, label="fanin")
     if args.shards is not None:
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
         result = run_fanin_sharded(
             config,
             shards=_resolve_shards(args.shards),
             workers=args.workers,
             policy=policy,
             checkpoint=checkpoint,
-            tracer=tracer,
-            metrics=registry,
         )
         print(f"sharded fan-in: {config.clients} connections, "
               f"{result.merged_events} merged completions "
@@ -368,7 +387,6 @@ def _cmd_fanin(args) -> int:
         target.write_text(result.to_json() + "\n")
         print(f"result JSON written to {args.json}")
     _report_cache(checkpoint)
-    _finish_tracer(tracer, args.trace)
     return 0
 
 
@@ -377,8 +395,12 @@ def _cmd_bottleneck(args) -> int:
         BottleneckConfig,
         run_shared_bottleneck,
     )
-    from repro.obs.metrics import MetricsRegistry
 
+    if args.shards != 1 or args.workers != 1:
+        return _refuse(
+            "repro bottleneck runs its coupled flows as one job in this "
+            "process; --shards and --workers accept only 1"
+        )
     config = BottleneckConfig(
         flows=args.flows,
         total_rate_per_sec=args.rate,
@@ -389,15 +411,11 @@ def _cmd_bottleneck(args) -> int:
     )
     policy, checkpoint = _supervise_from(args)
     tracer = _make_tracer(args.trace, label="bottleneck")
-    registry = MetricsRegistry()
     result = run_shared_bottleneck(
         config,
-        shards=_resolve_shards(args.shards),
-        workers=args.workers,
         policy=policy,
         checkpoint=checkpoint,
         tracer=tracer,
-        metrics=registry,
     )
     print(result.render())
     print(f"  bottleneck util {result.bottleneck_utilization:.0%}, "
@@ -448,17 +466,12 @@ def _cmd_ablation(args) -> int:
     from repro.experiments import ablations
 
     supervised = ("toggler", "variants")
-    if args.which not in supervised and (args.workers != 1 or any(
-        getattr(args, flag) is not None
-        for flag in ("resume", "cache_dir", "retries", "job_timeout")
-    )):
-        print(
-            f"error: repro ablation {args.which} runs in-process; "
+    if args.which not in supervised and _asks_supervision(args):
+        return _refuse(
+            f"repro ablation {args.which} runs in-process; "
             f"--workers, --resume, --cache-dir, --retries and "
-            f"--job-timeout apply only to {' and '.join(supervised)}",
-            file=sys.stderr,
+            f"--job-timeout apply only to {' and '.join(supervised)}"
         )
-        return 2
     measure = msecs(args.measure_ms)
     policy, checkpoint = _supervise_from(args)
     if args.which == "units":
@@ -1065,9 +1078,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the result as canonical unversioned "
                               "JSON (byte-diffable across shard/worker "
                               "counts)")
-    p_fanin.add_argument("--trace", default=None, metavar="PATH",
-                         help="record the sharded run's shard.window "
-                              "barrier records as repro-trace-v1 JSONL")
     _add_measure(p_fanin, 150)
     _add_workers(p_fanin)
     _add_supervise(p_fanin)
@@ -1090,24 +1100,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_bottleneck.add_argument("--warmup-ms", type=int, default=40)
     p_bottleneck.add_argument(
         "--shards", type=_shards_arg, default=1, metavar="K",
-        help="shards for the windowed engine ('auto' = one per CPU). The "
-             "flows and the fabric exchange packets every lookahead "
-             "window, so this coupled run executes as one job in this "
-             "process for every K, with byte-identical output",
+        help="only 1 (the default) is accepted: the flows and the "
+             "fabric exchange packets every lookahead window, so this "
+             "coupled run executes as one job in this process",
     )
     p_bottleneck.add_argument("--json", default=None, metavar="PATH",
                               help="write the result as canonical "
-                                   "unversioned JSON (byte-diffable "
-                                   "across shard/worker counts)")
+                                   "unversioned JSON (byte-diffable)")
     p_bottleneck.add_argument("--trace", default=None, metavar="PATH",
                               help="record shard.window barrier records "
                                    "as repro-trace-v1 JSONL")
     _add_measure(p_bottleneck, 150)
     p_bottleneck.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes for the windowed engine (default 1, 0 = "
-             "one per CPU); this coupled run executes as one job in "
-             "this process for every count, with byte-identical output",
+        help="only 1 (the default) is accepted: this coupled run "
+             "executes as one job in this process",
     )
     _add_supervise(p_bottleneck)
     p_bottleneck.set_defaults(func=_cmd_bottleneck)

@@ -155,6 +155,13 @@ def validate_report(document) -> list[str]:
             f"summary: runs={summary['runs']} but document has "
             f"{len(document['runs'])}"
         )
+    bad_counts = [
+        f"summary: by_class[{name!r}] must be int, got "
+        f"{type(count).__name__}"
+        for name, count in summary["by_class"].items()
+        if not isinstance(count, int) or isinstance(count, bool)
+    ]
+    problems.extend(bad_counts)
     if counted:
         if summary["findings"] != total_findings:
             problems.append(
@@ -166,7 +173,9 @@ def validate_report(document) -> list[str]:
                 f"summary: connections={summary['connections']} but runs "
                 f"hold {total_connections}"
             )
-        if sum(summary["by_class"].values()) != total_findings:
+        if not bad_counts and (
+            sum(summary["by_class"].values()) != total_findings
+        ):
             problems.append("summary: by_class counts do not sum to findings")
     return problems
 

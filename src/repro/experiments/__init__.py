@@ -14,7 +14,6 @@ _EXPORTS = {
     "FaninConfig": ".fanin",
     "FaninResult": ".fanin",
     "run_fanin": ".fanin",
-    "run_fanin_many": ".fanin",
     "ChaosPoint": ".faults",
     "ChaosResult": ".faults",
     "run_faults": ".faults",

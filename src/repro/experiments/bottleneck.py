@@ -2,9 +2,10 @@
 
 The regime the decomposed fan-in cannot reach: every flow's packets
 contend for the *same* bottleneck link, so the flows' sub-simulations
-are coupled.  Both scenarios run on the conservative windowed engine
-(:mod:`repro.sim.sync`), but where the fan-in's connections never
-exchange a packet, these components exchange packets every window:
+are coupled.  The fan-in's connections never exchange a packet and run
+as an ordinary campaign; these components exchange packets every
+window, so they run on the conservative windowed engine
+(:mod:`repro.sim.sync`):
 
 - **Flow component** ``i`` (components ``0..flows-1``): hosts
   ``sender{i}`` and ``rcv{i}`` with one TCP connection between them
@@ -20,10 +21,10 @@ exchange a packet, these components exchange packets every window:
 
 Every cut edge therefore has latency exactly ``propagation_delay_ns``
 — the engine's lookahead — and the window schedule is a pure function
-of the config, never of the partition.  The output
-(:class:`BottleneckResult`) is byte-identical across every ``(shards,
-workers)`` combination; the golden-digest suite and the CI ``cmp``
-smoke enforce it, exactly as for the fan-in.
+of the config, never of the partition.  The components exchange
+packets every window, so they run as one job in this process: there is
+no partition to vary, and the golden-digest suite pins the output
+(:class:`BottleneckResult`).
 
 Scope: this experiment measures transport-level end-to-end latency
 under contention (per-flow means, the merged completion stream, and
@@ -308,9 +309,8 @@ class BottleneckResult:
     Free of execution metadata in the same sense as the sharded fan-in
     result: ``windows`` and ``exchanged_events`` *are* included because
     both are pure functions of the config (the window schedule is
-    partition-free and every inter-component message is exchanged even
-    when co-located), so they cannot differ across ``(shards,
-    workers)`` — which the byte-diff of this JSON proves on every run.
+    partition-free and every inter-component message passes the
+    exchange barrier, though all components share one process).
     """
 
     config: BottleneckConfig
@@ -367,14 +367,12 @@ def run_shared_bottleneck(
     """Run the shared-bottleneck scenario through the windowed engine.
 
     The flows exchange packets every window, so the engine runs them as
-    one supervised job in this process whatever ``shards`` and
-    ``workers`` say.  ``policy``, ``checkpoint`` and ``tracer`` thread
-    through the engine exactly as for
-    :func:`~repro.experiments.fanin.run_fanin_sharded` (a checkpointed
-    run is stored whole, so an interrupted one reruns from the start).
-    Output is byte-identical for every ``(shards, workers)`` combination
-    — the contract CI enforces by diffing ``--shards 2 --workers 2``
-    against the serial run.
+    one supervised job in this process.  ``shards`` and ``workers`` are
+    accepted and ignored, because perfbench's ``bottleneck_2w`` passes
+    them; ``repro bottleneck`` refuses any value but 1.  ``policy``,
+    ``checkpoint``, ``tracer`` and ``metrics`` thread through
+    :func:`~repro.sim.sync.run_windowed` (a checkpointed run is stored
+    whole, so an interrupted one reruns from the start).
     """
     from repro.sim.shard import merge_digest, merge_streams
 
@@ -384,8 +382,7 @@ def run_shared_bottleneck(
     )
     sync = run_windowed(
         partial(_build_component, config),
-        config.flows + 1, plan,
-        shards=shards, workers=workers, policy=policy,
+        config.flows + 1, plan, policy=policy,
         checkpoint=checkpoint, tracer=tracer, metrics=metrics,
         label="bottleneck",
     )

@@ -13,9 +13,9 @@ estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 from repro.analysis.counters import CounterClock, CounterCollector
+from repro.analysis.offline import throughput_weighted
 from repro.analysis.report import format_table
 from repro.apps.kvstore import KVStore
 from repro.apps.redis_client import ClientConfig, RedisClient
@@ -29,7 +29,6 @@ from repro.loadgen.stats import summarize
 from repro.net.switch import Star
 from repro.sim.loop import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.sync import SyncComponent, WindowPlan, run_windowed
 from repro.tcp.connect import connect_pair
 from repro.tcp.socket import TcpConfig
 from repro.units import msecs, to_usecs, usecs
@@ -55,6 +54,7 @@ class FaninBed:
 
     sim: Simulator
     rng: RngRegistry
+    indices: tuple[int, ...]  # the clients' global indices
     server_host: Host
     client_hosts: list[Host]
     client_socks: list
@@ -65,14 +65,19 @@ class FaninBed:
     clock: CounterClock  # samples the collectors
 
 
-def build_fanin(config: FaninConfig) -> FaninBed:
-    """Assemble N client machines, a switch, and one server."""
+def build_fanin(config: FaninConfig, indices=None) -> FaninBed:
+    """Assemble client machines, a switch, and one server.
+
+    ``indices`` picks the clients to build (all by default).  Names are
+    keyed by each client's global index, so a bed of one client is that
+    connection of the fan-in with a server of its own.
+    """
+    indices = tuple(range(config.clients) if indices is None else indices)
     sim = Simulator()
     rng = RngRegistry(config.seed)
     server_host = Host(sim, "server", costs=HostCosts())
     client_hosts = [
-        Host(sim, f"client{index}", costs=HostCosts())
-        for index in range(config.clients)
+        Host(sim, f"client{index}", costs=HostCosts()) for index in indices
     ]
     Star.connect(
         sim,
@@ -81,7 +86,7 @@ def build_fanin(config: FaninConfig) -> FaninBed:
     )
     tcp_config = TcpConfig(nagle=config.nagle)
     client_socks, server_socks, clients, collectors = [], [], [], []
-    for index, host in enumerate(client_hosts):
+    for index, host in zip(indices, client_hosts):
         client_sock, server_sock = connect_pair(
             sim, host, server_host, tcp_config, tcp_config,
             name=f"conn{index}",
@@ -100,11 +105,40 @@ def build_fanin(config: FaninConfig) -> FaninBed:
         config=ServerConfig(), extra_sockets=server_socks[1:],
     )
     return FaninBed(
-        sim=sim, rng=rng, server_host=server_host, client_hosts=client_hosts,
-        client_socks=client_socks, server_socks=server_socks,
-        clients=clients, server=server, collectors=collectors,
-        clock=CounterClock(sim, collectors),
+        sim=sim, rng=rng, indices=indices, server_host=server_host,
+        client_hosts=client_hosts, client_socks=client_socks,
+        server_socks=server_socks, clients=clients, server=server,
+        collectors=collectors, clock=CounterClock(sim, collectors),
     )
+
+
+def _measure(bed: FaninBed, config: FaninConfig) -> tuple[int, int]:
+    """Seed the store, start the load, run the measurement window and
+    stop the clock; returns the window's ``(start, end)``."""
+    workload = config.workload
+    for index in range(workload.keyspace):
+        bed.server.store.set(workload.make_key(index), workload.value_bytes)
+    bed.server.start()
+    per_client_rate = config.total_rate_per_sec / config.clients
+    for index, client in zip(bed.indices, bed.clients):
+        schedule = poisson_schedule(
+            bed.rng.stream(f"arrivals.{index}"), workload, per_client_rate,
+            start_ns=bed.sim.now,
+            duration_ns=config.warmup_ns + config.measure_ns,
+        )
+        client.start(schedule)
+
+    measure_start = bed.sim.now + config.warmup_ns
+    measure_end = measure_start + config.measure_ns
+
+    def begin() -> None:
+        bed.server_host.reset_utilization_windows()
+        bed.clock.start()
+
+    bed.sim.call_at(measure_start, begin)
+    bed.sim.run(until=measure_end)
+    bed.clock.stop()
+    return measure_start, measure_end
 
 
 @dataclass
@@ -155,30 +189,7 @@ def run_fanin(config: FaninConfig, with_toggler: bool = False) -> FaninResult:
     toggler = None
     if with_toggler:
         toggler = _attach_spanning_toggler(bed)
-
-    workload = config.workload
-    for index in range(workload.keyspace):
-        bed.server.store.set(workload.make_key(index), workload.value_bytes)
-    bed.server.start()
-    per_client_rate = config.total_rate_per_sec / config.clients
-    for index, client in enumerate(bed.clients):
-        schedule = poisson_schedule(
-            bed.rng.stream(f"arrivals.{index}"), workload, per_client_rate,
-            start_ns=bed.sim.now,
-            duration_ns=config.warmup_ns + config.measure_ns,
-        )
-        client.start(schedule)
-
-    measure_start = bed.sim.now + config.warmup_ns
-    measure_end = measure_start + config.measure_ns
-
-    def begin() -> None:
-        bed.server_host.reset_utilization_windows()
-        bed.clock.start()
-
-    bed.sim.call_at(measure_start, begin)
-    bed.sim.run(until=measure_end)
-    bed.clock.stop()
+    measure_start, measure_end = _measure(bed, config)
 
     per_client = []
     all_samples = []
@@ -195,17 +206,15 @@ def run_fanin(config: FaninConfig, with_toggler: bool = False) -> FaninResult:
         for collector in bed.collectors
         if collector.sample_count >= 2
     ]
-    defined = [e for e in estimates if e.defined and e.throughput_per_sec > 0]
-    averaged = None
-    if defined:
-        total = sum(e.throughput_per_sec for e in defined)
-        averaged = sum(e.latency_ns * e.throughput_per_sec for e in defined) / total
+    averaged = throughput_weighted(
+        (e.latency_ns, e.throughput_per_sec) for e in estimates
+    )
 
     return FaninResult(
         config=config,
         per_client_mean_ns=per_client,
         aggregate_mean_ns=summarize(all_samples).mean_ns,
-        averaged_estimate_ns=averaged,
+        averaged_estimate_ns=averaged[0] if averaged else None,
         server_net_util=bed.server_host.net_core.utilization(),
         toggler_final_mode=toggler.mode if toggler else None,
         toggler_toggles=toggler.toggles if toggler else None,
@@ -230,124 +239,47 @@ class ConnectionShard:
     server_net_util: float
 
 
-class _FaninSyncComponent(SyncComponent):
-    """One decomposed fan-in connection as a windowed-engine component.
+def _run_connections(config: FaninConfig, indices) -> tuple[tuple, int]:
+    """One sharded fan-in job: the connections ``indices``, each alone.
 
-    The decomposed model: this client and a server *replica* of its own,
-    joined by the same switch fabric — not the shared, contended server
-    of :func:`run_fanin` (see docs/PERFORMANCE.md for when each model
-    applies).  Everything partition-relevant is keyed by the *global*
-    connection index — the RNG stream (``arrivals.{index}``), host and
-    socket names — so the output is a pure function of ``(config,
-    index)``, never of the shard that happened to run it.
-
-    Connections never exchange packets, so the component has infinite
-    lookahead: it posts nothing and must receive nothing.
+    The decomposed model: each client gets a server *replica* of its
+    own, joined by the same switch fabric — not the shared, contended
+    server of :func:`run_fanin` (see docs/PERFORMANCE.md for when each
+    model applies).  :func:`build_fanin` keys everything by the global
+    connection index, so each connection's output is a pure function of
+    ``(config, index)``, never of the job that ran it.  Returns the
+    connections' :class:`ConnectionShard` records and the kernel events
+    their simulations executed.
     """
-
-    def __init__(self, config: FaninConfig, index: int):
-        sim = Simulator()
-        rng = RngRegistry(config.seed)
-        server_host = Host(sim, "server", costs=HostCosts())
-        client_host = Host(sim, f"client{index}", costs=HostCosts())
-        Star.connect(
-            sim,
-            {client_host.name: client_host.nic,
-             server_host.name: server_host.nic},
-            propagation_delay_ns=config.propagation_delay_ns,
-        )
-        tcp_config = TcpConfig(nagle=config.nagle)
-        client_sock, server_sock = connect_pair(
-            sim, client_host, server_host, tcp_config, tcp_config,
-            name=f"conn{index}",
-        )
-        client = RedisClient(
-            sim, client_host, client_sock, config=ClientConfig(),
-            name=f"lancet{index}",
-        )
-        collector = CounterCollector(
-            sim, client_sock, server_sock, period_ns=msecs(10)
-        )
-        clock = CounterClock(sim, [collector])
-        server = RedisServer(
-            sim, server_host, server_sock, store=KVStore(),
-            config=ServerConfig(),
-        )
-
-        workload = config.workload
-        for key_index in range(workload.keyspace):
-            server.store.set(
-                workload.make_key(key_index), workload.value_bytes
-            )
-        server.start()
-        schedule = poisson_schedule(
-            rng.stream(f"arrivals.{index}"),
-            workload,
-            config.total_rate_per_sec / config.clients,
-            start_ns=sim.now,
-            duration_ns=config.warmup_ns + config.measure_ns,
-        )
-        client.start(schedule)
-
-        measure_start = sim.now + config.warmup_ns
-        measure_end = measure_start + config.measure_ns
-
-        def begin() -> None:
-            server_host.reset_utilization_windows()
-            clock.start()
-
-        sim.call_at(measure_start, begin)
-
-        self.index = index
-        self.sim = sim
-        self.client = client
-        self.clock = clock
-        self.collector = collector
-        self.server_host = server_host
-        self.measure_start = measure_start
-        self.measure_end = measure_end
-
-    def deliver(self, message) -> None:
-        from repro.errors import WorkloadError
-
-        raise WorkloadError(
-            "fan-in connections are independent; nothing should be "
-            f"addressed to component {self.index}"
-        )
-
-    def advance(self, until_ns: int) -> list:
-        self.sim.run(until=until_ns)
-        return []
-
-    def events_executed(self) -> int:
-        return self.sim.events_executed
-
-    def finish(self) -> ConnectionShard:
-        """Stop collection and package the shard-neutral output."""
-        self.clock.stop()
-        events = tuple(
+    conns = []
+    events = 0
+    for index in indices:
+        bed = build_fanin(config, (index,))
+        measure_start, measure_end = _measure(bed, config)
+        events += bed.sim.events_executed
+        stream = tuple(
             (r.completed_at, (r.kind, r.latency_ns))
-            for r in self.client.records
-            if self.measure_start <= r.completed_at <= self.measure_end
+            for r in bed.clients[0].records
+            if measure_start <= r.completed_at <= measure_end
         )
         estimate_latency = None
         estimate_throughput = None
-        if self.collector.sample_count >= 2:
-            estimate = self.collector.window_estimate(
-                self.measure_start, self.measure_end
-            )
+        collector = bed.collectors[0]
+        if collector.sample_count >= 2:
+            estimate = collector.window_estimate(measure_start, measure_end)
             estimate_latency = estimate.latency_ns
             estimate_throughput = estimate.throughput_per_sec
-        return ConnectionShard(
-            index=self.index,
+        conns.append(ConnectionShard(
+            index=index,
             mean_ns=summarize(
-                [latency for _, (_, latency) in events]
+                [latency for _, (_, latency) in stream]
             ).mean_ns,
-            events=events,
+            events=stream,
             estimate_latency_ns=estimate_latency,
             estimate_throughput=estimate_throughput,
-            server_net_util=self.server_host.net_core.utilization(),
-        )
+            server_net_util=bed.server_host.net_core.utilization(),
+        ))
+    return tuple(conns), events
 
 
 @dataclass
@@ -391,60 +323,56 @@ def run_fanin_sharded(
     workers: int = 1,
     policy=None,
     checkpoint=None,
-    tracer=None,
-    metrics=None,
 ) -> ShardedFaninResult:
-    """Run the decomposed fan-in scenario on the windowed engine.
+    """Run the decomposed fan-in scenario as a supervised campaign.
 
-    Each connection is one :class:`_FaninSyncComponent`; connections
-    are partitioned by :class:`~repro.sim.shard.ShardPlan` (round-robin
-    on global index) and advanced by
-    :func:`~repro.sim.sync.run_windowed` on a supervised worker pool.
-    With no cross-connection links the lookahead is infinite, so the
-    whole horizon is one window.  ``policy``, ``checkpoint`` and
-    ``tracer`` thread through the engine exactly as for
-    :func:`~repro.experiments.bottleneck.run_shared_bottleneck`.  The
+    Connections never exchange a packet, so they are dealt to
+    ``shards`` groups by :class:`~repro.sim.shard.ShardPlan`
+    (round-robin on global index), and each group is one
+    :func:`_run_connections` job on a pool of ``workers`` processes.
+    ``policy`` tunes retries and timeouts; ``checkpoint`` (a store or
+    directory) records each job's reply under a key of the config and
+    the group, and a later run skips the jobs it holds.  The
     per-connection completion streams are recombined with the
     deterministic :func:`~repro.sim.shard.merge_streams` order
     ``(timestamp, connection, sequence)``.  Output is byte-identical
     for every ``(shards, workers)`` combination — the contract CI
     enforces by diffing ``--shards 2 --workers 2`` against the serial
     run.
-
-    ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) receives
-    the ``sim.shard.merged_events`` counter beside the engine's own.
     """
-    from repro.sim.shard import merge_digest, merge_streams
+    from repro.parallel import ParallelRunner, _as_store, _require_all_ok
+    from repro.sim.shard import ShardPlan, merge_digest, merge_streams
+    from repro.supervise.checkpoint import job_key
 
-    plan = WindowPlan(
-        horizon_ns=config.warmup_ns + config.measure_ns, lookahead_ns=None
+    groups = ShardPlan.round_robin(config.clients, shards).assignments
+    store = _as_store(checkpoint)
+    try:
+        replies = _require_all_ok(
+            ParallelRunner(workers, policy=policy).map_outcomes(
+                _run_connections,
+                [(config, group) for group in groups],
+                checkpoint=store,
+                labels=[
+                    f"fanin shard {shard + 1}/{len(groups)}"
+                    for shard in range(len(groups))
+                ],
+                keys=[
+                    "fanin-" + job_key((config, group)) for group in groups
+                ],
+            )
+        )
+    finally:
+        if store is not checkpoint:  # opened here from a directory
+            store.close()
+    conns = sorted(
+        (conn for shard_conns, _ in replies for conn in shard_conns),
+        key=lambda conn: conn.index,
     )
-    sync = run_windowed(
-        partial(_FaninSyncComponent, config),
-        config.clients, plan,
-        shards=shards, workers=workers, policy=policy,
-        checkpoint=checkpoint, tracer=tracer, metrics=metrics,
-        label="fanin",
-    )
-    conns: list[ConnectionShard] = sync.results
     merged = merge_streams((conn.index, list(conn.events)) for conn in conns)
-    if metrics is not None:
-        metrics.counter("sim.shard.merged_events").inc(len(merged))
-
-    defined = [
-        conn for conn in conns
-        if conn.estimate_latency_ns is not None
-        and conn.estimate_throughput is not None
-        and conn.estimate_throughput > 0
-    ]
-    averaged = None
-    if defined:
-        total = sum(conn.estimate_throughput for conn in defined)
-        averaged = sum(
-            conn.estimate_latency_ns * conn.estimate_throughput
-            for conn in defined
-        ) / total
-
+    averaged = throughput_weighted(
+        (conn.estimate_latency_ns, conn.estimate_throughput)
+        for conn in conns
+    )
     utils = [conn.server_net_util for conn in conns]
     return ShardedFaninResult(
         config=config,
@@ -452,39 +380,12 @@ def run_fanin_sharded(
         aggregate_mean_ns=summarize(
             [latency for _, _, _, (_, latency) in merged]
         ).mean_ns,
-        averaged_estimate_ns=averaged,
+        averaged_estimate_ns=averaged[0] if averaged else None,
         server_net_util_mean=sum(utils) / len(utils),
         merged_events=len(merged),
         merge_fingerprint=merge_digest(merged),
-        events_executed=sync.events_executed,
+        events_executed=sum(events for _, events in replies),
     )
-
-
-def run_fanin_many(
-    configs: list[FaninConfig],
-    with_toggler: bool = False,
-    workers: int = 1,
-    policy=None,
-    checkpoint=None,
-) -> list[FaninResult]:
-    """Run several fan-in scenarios, optionally over a worker pool.
-
-    Each scenario is an independent deterministic simulation, so the
-    results are identical to running :func:`run_fanin` serially over
-    ``configs`` (and come back in the same order).  The campaign is
-    supervised (see :mod:`repro.supervise`): ``policy`` tunes retry and
-    timeout handling, and ``checkpoint`` (a store or directory) makes
-    the batch resumable.
-    """
-    from repro.parallel import ParallelRunner, _require_all_ok
-
-    runner = ParallelRunner(workers, policy=policy)
-    outcomes = runner.map_outcomes(
-        run_fanin,
-        [(config, with_toggler) for config in configs],
-        checkpoint=checkpoint,
-    )
-    return _require_all_ok(outcomes)
 
 
 def _attach_spanning_toggler(bed: FaninBed) -> NagleToggler:

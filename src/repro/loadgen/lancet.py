@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, ClassVar
 
 from repro.analysis.counters import CounterClock, CounterCollector
-from repro.analysis.offline import OfflineEstimate
+from repro.analysis.offline import OfflineEstimate, throughput_weighted
 from repro.apps.kvstore import KVStore
 from repro.apps.redis_client import ClientConfig, RedisClient
 from repro.apps.redis_server import RedisServer, ServerConfig
@@ -406,14 +406,15 @@ def _summarize_run(bed: Testbed, start: int, end: int) -> RunResult:
         for conn in bed.conns
         if conn.collector.sample_count >= 2
     ]
-    defined = [e for e in per_conn if e.defined and e.throughput_per_sec > 0]
     if per_conn:
         estimate = per_conn[0]
-        if len(bed.conns) > 1 and defined:
-            total_tput = sum(e.throughput_per_sec for e in defined)
-            blended = sum(
-                e.latency_ns * e.throughput_per_sec for e in defined
-            ) / total_tput
+        averaged = None
+        if len(bed.conns) > 1:
+            averaged = throughput_weighted(
+                (e.latency_ns, e.throughput_per_sec) for e in per_conn
+            )
+        if averaged is not None:
+            blended, total_tput = averaged
             estimate = OfflineEstimate(
                 start=start,
                 end=end,
@@ -426,22 +427,17 @@ def _summarize_run(bed: Testbed, start: int, end: int) -> RunResult:
         if mean_request > 0 and estimate.defined:
             estimate_rps = estimate.throughput_per_sec / mean_request
 
-    hint_latency = None
-    hint_rps = None
-    hint_samples = []
-    for conn in bed.conns:
-        if conn.hint_session is not None:
-            avgs = conn.hint_session.sample()
-            if avgs is not None and avgs.defined:
-                hint_samples.append(avgs)
-    if hint_samples:
-        total = sum(s.throughput_per_sec for s in hint_samples)
-        if total > 0:
-            hint_latency = (
-                sum(s.latency_ns * s.throughput_per_sec for s in hint_samples)
-                / total
-            )
-            hint_rps = total
+    hint_samples = [
+        conn.hint_session.sample()
+        for conn in bed.conns
+        if conn.hint_session is not None
+    ]
+    hint = throughput_weighted(
+        (avgs.latency_ns, avgs.throughput_per_sec)
+        for avgs in hint_samples
+        if avgs is not None
+    )
+    hint_latency, hint_rps = hint if hint is not None else (None, None)
 
     return RunResult(
         config=config,

@@ -179,15 +179,17 @@ RECORD_TYPES: dict[str, dict] = {
     },
     "shard.window": {
         "doc": (
-            "The windowed engine crossed one lock-step "
-            "barrier (see docs/PERFORMANCE.md, 'Intra-run sharding')."
+            "The windowed engine (repro bottleneck) crossed one "
+            "lock-step barrier (see docs/PERFORMANCE.md, 'Intra-run "
+            "sharding')."
         ),
         "fields": {
             "window": (int, "window index (1-based)"),
             "end_ns": (int, "simulated time the window closed at"),
             "shards": (
                 int,
-                "jobs the run executed as (1 for a coupled run)",
+                "jobs the run executed as (always 1: a coupled run is "
+                "one job)",
             ),
             "exchanged": (
                 int,

@@ -3,9 +3,10 @@
 Campaign-level parallelism (:mod:`repro.parallel`) only helps when there
 are many runs; a single large scenario — the fan-in experiments, the
 buffer-sizing sweeps where *n* flows is the variable — still executes on
-one core.  The windowed engine (:mod:`repro.sim.sync`) lets one run span
-a worker pool; this module supplies the two primitives it and its
-consumers rely on to keep determinism:
+one core.  A scenario whose components never exchange a packet (the
+decomposed fan-in, :func:`~repro.experiments.fanin.run_fanin_sharded`)
+can instead run as a campaign of component groups; this module supplies
+the two primitives that keep such a split deterministic:
 
 - :class:`ShardPlan` partitions a scenario's components (connections,
   flows, the fabric) into shards by a fixed rule, so the same

@@ -1,10 +1,8 @@
 """Conservative cross-component simulation: lock-stepped time windows.
 
-This is the one engine that runs a scenario across shards.  It builds on
-the partition and merge primitives of :mod:`repro.sim.shard` and keeps
-their determinism contract for topologies whose components exchange
-packets — many flows contending on one bottleneck link — with the
-classic conservative parallel-DES recipe:
+This engine runs a scenario whose components exchange packets — many
+flows contending on one bottleneck link — with the classic conservative
+parallel-DES recipe:
 
 1. Cut the scenario into **components**, each owning its own
    :class:`~repro.sim.loop.Simulator`.  Every cut edge has a fixed
@@ -19,33 +17,22 @@ classic conservative parallel-DES recipe:
    partition-free order ``(arrival timestamp, source component,
    per-source sequence)``.
 
-The determinism contract extension
-----------------------------------
-
-The window schedule is a function of ``(horizon, lookahead)`` only —
-never of the partition — and **every** inter-component message goes
-through the exchange.  Each component therefore sees the identical
-inbox in the identical order however the run is placed, so the run's
-output — and the ``sim.sync.windows`` / ``sim.sync.exchanged_events``
-counts themselves — are byte-identical for every ``(shards, workers)``
-combination, including the in-process serial run.
+The window schedule is a function of ``(horizon, lookahead)`` only, and
+**every** inter-component message goes through the exchange, so each
+component sees the same inbox in the same order on every run, and so do
+the ``sim.sync.windows`` / ``sim.sync.exchanged_events`` counts.
 
 Execution
 ---------
 
-The plan decides where a run executes.  Components with no cross links
-(the decomposed fan-in) have infinite lookahead: the plan collapses to a
-single window, nothing one component emits can reach another before the
-horizon, and the components split into ``shards`` supervised jobs on a
-pool of ``workers`` processes.  With a finite lookahead (the shared
-bottleneck) the components are coupled at every barrier, and they run as
-one supervised job in the calling process, stepping the same windows
-and the same exchange locally.  A coupled run spread over processes
-would pay a coordinator round trip per window, and on two cores no flow
-count or lookahead measured made that beat the serial run
-(docs/PERFORMANCE.md, "Intra-run sharding"); independent runs are where
-the cores pay.  Jobs are pure, so retries, crashes, checkpoints and
-resume compose with byte-identical output.
+The components are coupled at every barrier, so a run is one supervised
+job in the calling process that steps every window and the exchange
+locally.  A coupled run spread over processes would pay a coordinator
+round trip per window, and on two cores no flow count or lookahead
+measured made that beat the serial run (docs/PERFORMANCE.md,
+"Intra-run sharding"); independent runs — the decomposed fan-in
+included — are where the cores pay, as ordinary campaigns.  The job is
+pure, so retries and checkpoints compose with byte-identical output.
 """
 
 from __future__ import annotations
@@ -55,7 +42,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import WorkloadError
-from repro.sim.shard import ShardPlan
 
 
 @dataclass(frozen=True)
@@ -105,10 +91,8 @@ class SyncComponent:
     """One cut piece of a scenario, owning its own sub-simulation.
 
     Subclasses set :attr:`index` (the global component index) and
-    implement the window protocol; instances are built *inside* the job
-    that runs them, by the picklable builder handed to
-    :func:`run_windowed`, so they never cross a process boundary
-    themselves.
+    implement the window protocol; instances are built inside the job
+    that runs them, by the builder handed to :func:`run_windowed`.
     """
 
     index: int
@@ -137,34 +121,29 @@ class SyncComponent:
 class WindowPlan:
     """The lock-step schedule: a horizon cut into lookahead windows.
 
-    ``lookahead_ns=None`` means no component pair exchanges messages
-    (infinite lookahead): the whole horizon is one window.  The schedule
-    depends only on these two numbers — never on the partition — which
-    is what makes the exchange order partition-free.
+    The schedule depends only on these two numbers — never on how the
+    components are built or run — which is what makes the exchange
+    order partition-free.  A lookahead at or past the horizon is one
+    window.
     """
 
     horizon_ns: int
-    lookahead_ns: int | None = None
+    lookahead_ns: int
 
     def __post_init__(self):
         if self.horizon_ns <= 0:
             raise WorkloadError(
                 f"horizon must be positive, got {self.horizon_ns}"
             )
-        if self.lookahead_ns is not None and self.lookahead_ns <= 0:
+        if self.lookahead_ns is None or self.lookahead_ns <= 0:
             raise WorkloadError(
-                f"lookahead must be positive (or None), "
-                f"got {self.lookahead_ns}"
+                f"lookahead must be positive, got {self.lookahead_ns}"
             )
 
     def window_ends(self) -> tuple[int, ...]:
         """Window end times, ascending; the last equals the horizon."""
-        lookahead = self.lookahead_ns
-        if lookahead is None or lookahead >= self.horizon_ns:
-            return (self.horizon_ns,)
-        ends = list(range(lookahead, self.horizon_ns, lookahead))
-        ends.append(self.horizon_ns)
-        return tuple(ends)
+        step = self.lookahead_ns
+        return (*range(step, self.horizon_ns, step), self.horizon_ns)
 
 
 @dataclass
@@ -178,31 +157,28 @@ class SyncRunResult:
 
 
 # ----------------------------------------------------------------------
-# The job: a group of components through every window.
+# The job: every component through every window.
 # ----------------------------------------------------------------------
 
-def _run_group(builder, indices, count, ends):
-    """One supervised job: run components ``indices`` through ``ends``.
+def _run_group(builder, count, ends):
+    """The one supervised job: run components ``0..count-1`` through
+    ``ends``.
 
     At each barrier the messages due by the window end are delivered in
     exchange order ``(arrival, src, sequence)``, then every component
     advances and its outbox joins the exchange.  Returns ``(counts,
     results, events)``: the messages emitted in each window, each
     component's ``(index, finish())`` and the kernel events executed.
-
-    A group that is not the whole scenario only ever runs a one-window
-    plan, where every message arrives beyond the horizon and is dropped
-    here exactly as the serial run (``run(until=horizon)``) would drop
-    it, so no message ever needs another group's components.
+    A message arriving beyond the horizon is dropped, as the serial
+    run's ``run(until=horizon)`` would drop it.
     """
-    components = [builder(index) for index in indices]
-    by_index = {component.index: component for component in components}
+    components = [builder(index) for index in range(count)]
     pending: list[tuple[tuple[int, int, int], SyncMessage]] = []
     counts = []
     for end in ends:
         while pending and pending[0][0][0] <= end:
             _, message = heapq.heappop(pending)
-            by_index[message.dst].deliver(message)
+            components[message.dst].deliver(message)
         emitted = 0
         for component in components:
             for message in component.advance(end):
@@ -234,76 +210,56 @@ def run_windowed(
     builder: Callable[[int], SyncComponent],
     count: int,
     plan: WindowPlan,
-    shards: int = 1,
-    workers: int = 1,
     policy=None,
     checkpoint=None,
     tracer=None,
     metrics=None,
-    start_method: str | None = None,
     label: str = "sync",
 ) -> SyncRunResult:
     """Run ``count`` components through the windowed engine.
 
     ``builder(index)`` constructs component ``index``; it must be
     picklable (a module-level function or :func:`functools.partial`
-    over picklable arguments), since pooled jobs rebuild components from
-    it and the checkpoint key digests it.
+    over picklable arguments), since the checkpoint key digests it.
 
-    A one-window plan (infinite lookahead) splits the components into
-    the ``shards`` groups of a round-robin
-    :class:`~repro.sim.shard.ShardPlan`, one supervised job each on a
-    pool of ``workers`` processes.  Any longer plan couples the
-    components, so they run as one supervised job in this process
-    whatever ``shards`` and ``workers`` say.  ``policy`` threads through
-    the supervised runner.
+    The run is one supervised job in this process; ``policy`` threads
+    through the supervised runner.  ``checkpoint`` (a store or
+    directory) records the job's reply, and a later run with the same
+    key skips it.  The job is keyed by ``label``, ``count``, ``plan``
+    and ``builder`` (which carries the config), so runs of different
+    configs can share one store.
 
-    ``checkpoint`` (a store or directory) records each job's reply, and
-    a later run skips the jobs it holds.  Jobs are keyed whole by
-    ``label``, ``count``, ``plan``, ``builder`` (which carries the
-    config) and the job's components, so runs of different configs can
-    share one store.
-
-    Every job returns its per-window message counts, from which
+    The job returns its per-window message counts, from which
     ``tracer`` receives one ``shard.window`` record per barrier and
     ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) the
     ``sim.sync.windows`` / ``sim.sync.exchanged_events`` counters, the
-    same whether a job ran or came from the store.
+    same whether the job ran or came from the store.
     """
     from repro.parallel import ParallelRunner, _as_store, _require_all_ok
     from repro.supervise.checkpoint import job_key
 
-    splan = ShardPlan.round_robin(count, shards)
     ends = plan.window_ends()
-    # Only in a one-window plan does nothing a component emits reach
-    # another before the horizon, so only then can the groups run apart.
-    groups = (
-        splan.assignments if len(ends) == 1 else (tuple(range(count)),)
-    )
-    runner = ParallelRunner(workers, start_method=start_method, policy=policy)
+    # The key and the reply's (index, result) pairs keep the shape that
+    # existing stores hold, so their replies still hit.
+    components = tuple(range(count))
     store = _as_store(checkpoint)
     try:
-        replies = _require_all_ok(runner.map_outcomes(
-            _run_group,
-            [(builder, group, count, ends) for group in groups],
-            checkpoint=store,
-            labels=[
-                f"{label} shard {shard + 1}/{len(groups)}"
-                for shard in range(len(groups))
-            ],
-            keys=[
-                "sync-" + job_key((label, count, plan, builder, group))
-                for group in groups
-            ],
-        ))
+        ((per_window, results, events),) = _require_all_ok(
+            ParallelRunner(policy=policy).map_outcomes(
+                _run_group,
+                [(builder, count, ends)],
+                checkpoint=store,
+                labels=[label],
+                keys=[
+                    "sync-"
+                    + job_key((label, count, plan, builder, components))
+                ],
+            )
+        )
     finally:
         if store is not checkpoint:  # opened here from a directory
             store.close()
 
-    finals: dict[int, object] = {}
-    for _, results, _ in replies:
-        finals.update(results)
-    per_window = [sum(column) for column in zip(*(c for c, _, _ in replies))]
     if metrics is not None:
         metrics.counter("sim.sync.windows").inc(len(ends))
         metrics.counter("sim.sync.exchanged_events").inc(sum(per_window))
@@ -312,10 +268,10 @@ def run_windowed(
         tracer.bind_clock(lambda: clock[0])
         for window, (end, exchanged) in enumerate(zip(ends, per_window)):
             clock[0] = end
-            tracer.shard_window(window + 1, end, len(groups), exchanged)
+            tracer.shard_window(window + 1, end, 1, exchanged)
     return SyncRunResult(
-        results=[finals[index] for index in range(count)],
+        results=[result for _, result in results],
         windows=len(ends),
         exchanged_events=sum(per_window),
-        events_executed=sum(events for _, _, events in replies),
+        events_executed=events,
     )

@@ -5,7 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.counters import CounterSample, TripleSnapshot
-from repro.analysis.offline import estimate_between, interval_series, window_estimate
+from repro.analysis.offline import (
+    estimate_between,
+    interval_series,
+    throughput_weighted,
+    window_estimate,
+)
 from repro.core.qstate import QueueSnapshot
 from repro.errors import EstimationError
 
@@ -93,3 +98,24 @@ class TestSeries:
     def test_window_estimate_needs_two_samples(self):
         with pytest.raises(EstimationError):
             window_estimate(self._samples(), 2500, 2600)
+
+
+class TestThroughputWeighted:
+    def test_weights_each_latency_by_its_throughput(self):
+        assert throughput_weighted([(100.0, 1.0), (400.0, 3.0)]) == (
+            325.0, 4.0,
+        )
+
+    def test_undefined_and_idle_connections_are_skipped(self):
+        pairs = [(None, 5.0), (50.0, None), (70.0, 0.0), (80.0, -1.0),
+                 (30.0, 2.0)]
+        assert throughput_weighted(pairs) == (30.0, 2.0)
+
+    def test_nothing_left_is_none(self):
+        assert throughput_weighted([]) is None
+        assert throughput_weighted([(None, 1.0), (10.0, 0.0)]) is None
+
+    def test_sums_in_connection_order(self):
+        pairs = [(0.1, 3.0), (0.2, 7.0), (0.3, 11.0)]
+        weighted = 0.1 * 3.0 + 0.2 * 7.0 + 0.3 * 11.0
+        assert throughput_weighted(iter(pairs)) == (weighted / 21.0, 21.0)

@@ -88,6 +88,14 @@ class TestValidateReport:
         document["summary"]["by_class"] = {"loss": 99}
         assert validate_report(document) != []
 
+    def test_non_int_class_counts_reported(self):
+        document = _document()
+        document["summary"]["by_class"] = {"loss": "1", "stall": True}
+        assert validate_report(document) == [
+            "summary: by_class['loss'] must be int, got str",
+            "summary: by_class['stall'] must be int, got bool",
+        ]
+
     def test_every_problem_reported_in_one_call(self):
         document = _document()
         document["schema"] = "repro-diagnosis-v0"

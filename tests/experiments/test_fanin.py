@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro.experiments.fanin import FaninConfig, build_fanin, run_fanin
+from repro.experiments.fanin import (
+    FaninConfig,
+    build_fanin,
+    run_fanin,
+    run_fanin_sharded,
+)
+from repro.supervise import SupervisePolicy
 from repro.units import msecs
 
 import pytest as _pytest
@@ -31,6 +39,13 @@ class TestBuildFanin:
         # Every connection reaches the same server host.
         for sock in bed.server_socks:
             assert sock.host is bed.server_host
+
+    def test_chosen_clients_keep_their_global_names(self):
+        bed = build_fanin(small_config(), (2,))
+        assert bed.indices == (2,)
+        assert [host.name for host in bed.client_hosts] == ["client2"]
+        assert [client.name for client in bed.clients] == ["lancet2"]
+        assert bed.server.sockets == bed.server_socks
 
 
 class TestRunFanin:
@@ -59,3 +74,41 @@ class TestRunFanin:
         text = run_fanin(small_config()).render()
         assert "A10" in text
         assert "aggregate" in text
+
+
+_FAST = SupervisePolicy(backoff_base_s=0.0, backoff_max_s=0.0)
+
+
+@pytest.mark.parametrize("one_reply_kept", [False, True])
+def test_resume_from_a_cut_store_matches_serial(tmp_path, one_reply_kept):
+    # Two shard jobs, each stored whole.  Cut the store to its header
+    # (stopped before either shard replied) or to one shard's reply: the
+    # resumed run reruns only the shards the store lacks.
+    from repro.cache import ResultCache
+
+    config = small_config(measure_ns=msecs(20))
+    store = tmp_path / "store"
+    run_fanin_sharded(config, shards=2, checkpoint=store)
+    (path,) = store.glob("shard-*.jsonl")
+    header, *replies = path.read_text().splitlines()
+    assert len(replies) == 2
+    kept = replies[: int(one_reply_kept)]
+    path.write_text("\n".join([header, *kept]) + "\n")
+    cache = ResultCache(store)
+    resumed = run_fanin_sharded(
+        config, shards=2, workers=2, policy=_FAST, checkpoint=cache
+    )
+    assert resumed.to_json() == run_fanin_sharded(config).to_json()
+    rerun = len(replies) - len(kept)
+    assert (cache.hits, cache.misses, cache.stores) == (
+        len(kept), rerun, rerun,
+    )
+    cache.close()
+    labels = [
+        record["label"]
+        for path in sorted(store.glob("shard-*.jsonl"))
+        for record in map(json.loads, path.read_text().splitlines())
+        if record.get("kind") == "result"
+    ]
+    assert labels[: len(kept)] == [json.loads(r)["label"] for r in kept]
+    assert sorted(labels) == ["fanin shard 1/2", "fanin shard 2/2"]

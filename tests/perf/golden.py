@@ -122,7 +122,7 @@ def run_experiment(name: str):
 
 
 def run_experiment_sharded(name: str, shards: int, workers: int = 1):
-    """A shape run across ``shards`` on the windowed engine.
+    """A shape run across ``shards`` (and ``workers``).
 
     ``bottleneck_4f`` must reproduce its :data:`GOLDEN_EXPERIMENTS`
     digest; ``fanin_4c`` runs the decomposed fan-in (per-connection

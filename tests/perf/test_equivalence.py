@@ -91,36 +91,27 @@ def test_sharded_fanin_is_shard_count_invariant(shards):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("shards", [1, 2, 4])
 def test_bottleneck_is_partition_and_pool_invariant(shards, workers):
-    """The windowed engine's core contract: the shared-bottleneck run is
-    byte-identical for every (shards, workers) combination, including
-    the in-process serial run."""
+    """The shared-bottleneck run reproduces its golden for every
+    (shards, workers) it is given: the coupled run is one in-process
+    job, and run_shared_bottleneck accepts both and ignores them."""
     result = run_experiment_sharded("bottleneck_4f", shards, workers)
     assert digest(result) == GOLDEN_EXPERIMENTS["bottleneck_4f"]
     assert result.to_json()  # canonical JSON stays serializable
 
 
 @pytest.mark.parametrize("shards", [1, 2])
-def test_fanin_through_windowed_engine_matches_sharded_golden(shards):
-    """The decomposed fan-in runs *through* the sync engine as one
-    infinite-lookahead window that exchanges nothing, and reproduces
-    the sharded golden exactly: the sync machinery perturbs nothing
-    when components never talk."""
+def test_fanin_campaign_skips_windowed_engine(shards, monkeypatch):
+    """The decomposed fan-in is a plain supervised campaign: it never
+    enters the windowed engine and reproduces the sharded golden."""
     from repro.experiments.fanin import run_fanin_sharded
-    from repro.obs import Tracer
-    from repro.obs.metrics import MetricsRegistry
 
-    tracer = Tracer(label="fanin")
-    metrics = MetricsRegistry()
-    result = run_fanin_sharded(
-        experiment_shapes()["fanin_4c"], shards=shards,
-        tracer=tracer, metrics=metrics,
-    )
+    def engine(*args, **kwargs):
+        raise AssertionError("the fan-in entered the windowed engine")
+
+    monkeypatch.setattr("repro.sim.sync.run_windowed", engine)
+    monkeypatch.setattr("repro.sim.sync._run_group", engine)
+    result = run_fanin_sharded(experiment_shapes()["fanin_4c"], shards=shards)
     assert digest(result) == GOLDEN_FANIN_SHARDED
-    counters = metrics.snapshot()["counters"]
-    assert counters["sim.sync.windows"] == 1
-    assert counters["sim.sync.exchanged_events"] == 0
-    windows = [r for r in tracer.records if r["type"] == "shard.window"]
-    assert [(r["shards"], r["exchanged"]) for r in windows] == [(shards, 0)]
 
 
 def test_experiment_shapes_cover_issue_scope():

@@ -3,16 +3,13 @@
 The toy scenario is a message ring: component 0 seeds a token that hops
 to the next component with one lookahead of latency per hop, and every
 component logs what it received.  The log — and the engine's own
-window/exchange counts — must be byte-identical for every
-``(shards, workers)`` combination, which is the same contract the
-shared-bottleneck experiment relies on at full scale.
+window/exchange counts — must come out the same on every run, fresh or
+from a checkpoint, which is the contract the shared-bottleneck
+experiment relies on at full scale.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 import pytest
@@ -26,7 +23,6 @@ from repro.sim.sync import (
     WindowPlan,
     run_windowed,
 )
-from repro.supervise import SupervisePolicy
 
 
 # ---------------------------------------------------------------------------
@@ -38,11 +34,7 @@ def test_window_ends_tile_the_horizon():
     assert WindowPlan(100, 30).window_ends() == (30, 60, 90, 100)
     assert WindowPlan(90, 30).window_ends() == (30, 60, 90)
     assert WindowPlan(100, 1).window_ends() == tuple(range(1, 101))
-
-
-def test_infinite_or_oversized_lookahead_is_one_window():
-    assert WindowPlan(100).window_ends() == (100,)
-    assert WindowPlan(100, None).window_ends() == (100,)
+    # A lookahead at or past the horizon is one window.
     assert WindowPlan(100, 100).window_ends() == (100,)
     assert WindowPlan(100, 250).window_ends() == (100,)
 
@@ -51,11 +43,13 @@ def test_window_plan_rejects_degenerate_inputs():
     with pytest.raises(WorkloadError):
         WindowPlan(0, 10)
     with pytest.raises(WorkloadError):
-        WindowPlan(-5)
+        WindowPlan(-5, 10)
     with pytest.raises(WorkloadError):
         WindowPlan(100, 0)
     with pytest.raises(WorkloadError):
         WindowPlan(100, -1)
+    with pytest.raises(WorkloadError):
+        WindowPlan(100, None)
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +121,9 @@ def _build_ring(count: int, index: int) -> _RingComponent:
     return _RingComponent(index, count)
 
 
-def test_ring_is_byte_identical_across_shards_and_workers(monkeypatch):
-    # A coupled run executes as one job in this process: no shard or
-    # worker count may start a worker process.
+def test_ring_runs_in_process_and_repeats_exactly(monkeypatch):
+    # A coupled run executes as one job in this process: it may not
+    # start a worker process, and a second run repeats it exactly.
     def no_pool(*args, **kwargs):
         raise AssertionError("a coupled run started a worker pool")
 
@@ -143,41 +137,7 @@ def test_ring_is_byte_identical_across_shards_and_workers(monkeypatch):
     assert sum(len(log) for log in reference.results) == _HOPS
     assert reference.windows == len(plan.window_ends())
     assert reference.exchanged_events >= _HOPS
-    for shards, workers in ((2, 1), (3, 1), (2, 2)):
-        run = run_windowed(
-            partial(_build_ring, count), count, plan,
-            shards=shards, workers=workers,
-        )
-        assert run.results == reference.results, (shards, workers)
-        assert run.windows == reference.windows
-        assert run.exchanged_events == reference.exchanged_events
-        assert run.events_executed == reference.events_executed
-
-
-def test_single_window_degenerates_to_shard_map(monkeypatch):
-    # Infinite lookahead: one window, no exchange traffic at all (the
-    # ring never gets to hop because everything arrives post-horizon),
-    # so the components split into one pooled job per shard.
-    submitted = []
-
-    class CountingPool(ProcessPoolExecutor):
-        def submit(self, *args, **kwargs):
-            submitted.append(args)
-            return super().submit(*args, **kwargs)
-
-    monkeypatch.setattr(
-        "repro.supervise.supervisor.ProcessPoolExecutor", CountingPool
-    )
-    count = 3
-    run = run_windowed(
-        partial(_build_ring, count), count, WindowPlan(_HORIZON),
-        shards=3, workers=2,
-    )
-    assert run.windows == 1
-    assert len(submitted) == 3
-    assert run.results == run_windowed(
-        partial(_build_ring, count), count, WindowPlan(_HORIZON)
-    ).results
+    assert run_windowed(partial(_build_ring, count), count, plan) == reference
 
 
 def test_metrics_count_windows_and_exchanges(tmp_path):
@@ -208,94 +168,6 @@ def test_metrics_count_windows_and_exchanges(tmp_path):
     cache.close()
 
 
-# ---------------------------------------------------------------------------
-# Recovery: a split run's jobs are retried and checkpointed one by one.
-# ---------------------------------------------------------------------------
-
-_FAST = SupervisePolicy(backoff_base_s=0.0, backoff_max_s=0.0)
-_RING = 3
-
-
-class _CrashingRingComponent(_RingComponent):
-    """Component 1 hard-exits its worker once, in its first window."""
-
-    def __init__(self, index: int, count: int, marker):
-        super().__init__(index, count)
-        self.marker = marker
-
-    def advance(self, until_ns: int):
-        if self.index == 1 and not self.marker.exists():
-            self.marker.write_text("crashed")
-            os._exit(1)
-        return super().advance(until_ns)
-
-
-def _build_crashing_ring(count: int, marker, index: int):
-    return _CrashingRingComponent(index, count, marker)
-
-
-def _split_ring(builder=None, checkpoint=None, workers=2) -> list:
-    """The ring at infinite lookahead on 2 shards: its results."""
-    return run_windowed(
-        builder or partial(_build_ring, _RING), _RING, WindowPlan(_HORIZON),
-        shards=2, workers=workers, policy=_FAST, checkpoint=checkpoint,
-    ).results
-
-
-def _stored(directory) -> list[dict]:
-    """Every result record in a checkpoint directory, in write order."""
-    return [
-        record
-        for path in sorted(directory.glob("shard-*.jsonl"))
-        for record in map(json.loads, path.read_text().splitlines())
-        if record.get("kind") == "result"
-    ]
-
-
-def test_worker_crash_retries_its_shard(tmp_path):
-    marker = tmp_path / "crashed"
-    results = _split_ring(
-        partial(_build_crashing_ring, _RING, marker),
-        checkpoint=tmp_path / "store",
-    )
-    assert marker.exists()  # the worker really died mid-run
-    assert results == run_windowed(
-        partial(_build_ring, _RING), _RING, WindowPlan(_HORIZON)
-    ).results
-    # Component 1 is shard 2 of 2; its job ran twice.
-    attempts = {r["label"]: r["attempts"] for r in _stored(tmp_path / "store")}
-    assert attempts["sync shard 2/2"] == 2
-
-
-@pytest.mark.parametrize("partial_window", [False, True])
-def test_resume_from_a_cut_store_matches_serial(tmp_path, partial_window):
-    # The one window splits into two shard jobs, each stored whole.  Cut
-    # the store to its header (stopped before either shard replied) or to
-    # one shard's reply (stopped mid-window): the resumed run reruns only
-    # the shards the store lacks.
-    from repro.cache import ResultCache
-
-    store = tmp_path / "store"
-    _split_ring(checkpoint=store, workers=1)
-    (path,) = store.glob("shard-*.jsonl")
-    header, *replies = path.read_text().splitlines()
-    assert len(replies) == 2
-    kept = replies[: int(partial_window)]
-    path.write_text("\n".join([header, *kept]) + "\n")
-    cache = ResultCache(store)
-    assert _split_ring(checkpoint=cache) == run_windowed(
-        partial(_build_ring, _RING), _RING, WindowPlan(_HORIZON)
-    ).results
-    rerun = len(replies) - len(kept)
-    assert (cache.hits, cache.misses, cache.stores) == (
-        len(kept), rerun, rerun,
-    )
-    cache.close()
-    labels = [r["label"] for r in _stored(store)]
-    assert labels[: len(kept)] == [json.loads(r)["label"] for r in kept]
-    assert sorted(labels) == sorted(json.loads(r)["label"] for r in replies)
-
-
 class _CheatingComponent(SyncComponent):
     """Emits a message arriving inside its own window."""
 
@@ -320,5 +192,5 @@ def _build_cheater(index: int) -> _CheatingComponent:
 
 def test_lookahead_violation_is_rejected():
     with pytest.raises((WorkloadError, CampaignError)) as excinfo:
-        run_windowed(_build_cheater, 2, WindowPlan(40, 10), shards=2)
+        run_windowed(_build_cheater, 2, WindowPlan(40, 10))
     assert "lookahead violation" in str(excinfo.value)

@@ -95,22 +95,58 @@ class TestCommands:
     def test_fanin_shards_on_a_pool_write_the_serial_bytes(
         self, tmp_path, capsys
     ):
-        from repro.obs import read_jsonl
-
         pooled, serial = tmp_path / "pooled.json", tmp_path / "serial.json"
-        trace = tmp_path / "fanin.jsonl"
         common = ["fanin", "--clients", "2", "--warmup-ms", "10",
                   "--measure-ms", "20"]
         assert main(common + [
             "--shards", "2", "--workers", "2", "--json", str(pooled),
-            "--trace", str(trace),
         ]) == 0
         assert main(common + ["--shards", "1", "--json", str(serial)]) == 0
         assert pooled.read_bytes() == serial.read_bytes()
-        assert main(["trace", "validate", str(trace)]) == 0
-        # Infinite lookahead: the engine crosses one barrier.
-        windows = [r for r in read_jsonl(trace) if r["type"] == "shard.window"]
-        assert [r["shards"] for r in windows] == [2]
+
+    @pytest.mark.parametrize("flags", [
+        ("--workers", "2"),
+        ("--resume", "{store}"),
+        ("--cache-dir", "{store}"),
+        ("--retries", "1"),
+        ("--job-timeout", "5"),
+        ("--toggler", "--shards", "1"),
+    ], ids=lambda flags: flags[0])
+    def test_fanin_rejects_flags_its_model_ignores(
+        self, flags, tmp_path, capsys
+    ):
+        # Supervision flags need --shards; --toggler needs its absence.
+        store = tmp_path / "store"
+        assert main([
+            "fanin", "--clients", "2", "--warmup-ms", "2",
+            "--measure-ms", "5",
+            *(flag.format(store=store) for flag in flags),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flags[0] in err
+        assert not store.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ("--shards", "2"),
+        ("--shards", "auto"),
+        ("--shards", "0"),
+        ("--workers", "2"),
+        ("--workers", "-1"),
+    ], ids=" ".join)
+    def test_bottleneck_rejects_shards_and_workers(
+        self, flags, tmp_path, capsys
+    ):
+        # The coupled run is one in-process job whatever they say.
+        out = tmp_path / "bottleneck.json"
+        assert main([
+            "bottleneck", "--flows", "2", "--warmup-ms", "2",
+            "--measure-ms", "5", *flags, "--json", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flags[0] in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("which, flag", [
         ("units", "--workers"),

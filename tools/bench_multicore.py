@@ -5,7 +5,8 @@ parallel *wins* need real cores, which CI boxes may not have.  This
 harness records what the machine can actually show into
 ``benchmarks/results/multicore.json``:
 
-- the decomposed fan-in, serial vs 2 shards / 2 workers;
+- the decomposed fan-in, serial vs 2 shards / 2 workers (each shard
+  one job of a supervised campaign);
 - an 8-rate x 2-seed ``replicated_sweep``, serial vs pooled;
 
 each with its byte-identity check (a speedup that changes a byte is a
@@ -13,8 +14,9 @@ bug, not a win).  On a single-CPU box every comparison would measure
 only pool overhead, so the harness records a skip marker instead of a
 misleading number — CI uploads the file either way, so the trajectory
 shows *why* a leg has no speedup data.  (The shared bottleneck has no
-leg: its coupled runs execute as one in-process job for any shard or
-worker count, so a leg would time serial against serial.)
+leg: the windowed engine runs its coupled components as one in-process
+job for any shard or worker count, so a leg would time serial against
+serial.)
 
 Run: ``PYTHONPATH=src python tools/bench_multicore.py``
 """
