@@ -89,17 +89,31 @@ def experiment_shapes() -> dict[str, object]:
     so pipeline and sharding changes are equivalence-checked against
     many-flow traffic.  Windows are shortened to tier-1 size, same as
     the bench shapes.
+
+    Three more pin the §3.2 estimate paths no other digest reaches: the
+    chaos sweep's hardened two-sided toggler, the fan-in's spanning
+    toggler over oracle-mode estimators, and A11's per-leg
+    decomposition of the offline estimate.
     """
     from repro.experiments.bottleneck import BottleneckConfig
     from repro.experiments.fanin import FaninConfig
     from repro.experiments.timevarying import PhasePlan
 
+    fanin = FaninConfig(warmup_ns=msecs(10), measure_ns=msecs(40))
     return {
-        "fanin_4c": FaninConfig(warmup_ns=msecs(10), measure_ns=msecs(40)),
+        "fanin_4c": fanin,
         "timevarying_walk": PhasePlan(phase_ns=msecs(40)),
         "bottleneck_4f": BottleneckConfig(
             warmup_ns=msecs(10), measure_ns=msecs(30)
         ),
+        "faults_chaos": {
+            "intensities": (0.0, 1.0), "measure_ns": msecs(30),
+        },
+        "fanin_4c_toggler": fanin,
+        "decomposition": {
+            "rates": (5_000.0, 36_000.0),
+            "base": fig4a_config(measure_ns=msecs(20)),
+        },
     }
 
 
@@ -118,6 +132,18 @@ def run_experiment(name: str):
         from repro.experiments.bottleneck import run_shared_bottleneck
 
         return run_shared_bottleneck(shape)
+    if name == "faults_chaos":
+        from repro.experiments.faults import run_faults
+
+        return run_faults(**shape)
+    if name == "fanin_4c_toggler":
+        from repro.experiments.fanin import run_fanin
+
+        return run_fanin(shape, with_toggler=True)
+    if name == "decomposition":
+        from repro.experiments.decomposition import run_decomposition
+
+        return run_decomposition(**shape)
     raise KeyError(name)
 
 
