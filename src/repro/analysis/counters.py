@@ -11,28 +11,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from repro.core.qstate import QueueSnapshot
+from repro.core.qstate import QueueSnapshot, TripleSnapshot
 from repro.errors import EstimationError
 
 _ROW_INTS = 12  # 2 endpoints x 3 queues x (total, integral)
-
-
-@dataclass(frozen=True)
-class TripleSnapshot:
-    """One endpoint's three queue snapshots, taken together."""
-
-    unacked: QueueSnapshot
-    unread: QueueSnapshot
-    ackdelay: QueueSnapshot
-
-    @classmethod
-    def capture(cls, states) -> "TripleSnapshot":
-        """Snapshot an object exposing qs_unacked/qs_unread/qs_ackdelay."""
-        return cls(
-            unacked=states.qs_unacked.snapshot(),
-            unread=states.qs_unread.snapshot(),
-            ackdelay=states.qs_ackdelay.snapshot(),
-        )
 
 
 @dataclass(frozen=True)
@@ -170,14 +152,8 @@ class CounterCollector:
         )
 
     def _emit(self, sample: CounterSample) -> None:
-        tracer = self._tracer
-        for src, triple in (
-            (self._client_src, sample.client),
-            (self._server_src, sample.server),
-        ):
-            tracer.queue_sample(
-                src, triple.unacked, triple.unread, triple.ackdelay
-            )
+        self._tracer.queue_sample(self._client_src, sample.client)
+        self._tracer.queue_sample(self._server_src, sample.server)
 
 
 class CounterClock:

@@ -1,10 +1,11 @@
 """Offline end-to-end estimation from counter snapshots (paper §3.4).
 
 Given two :class:`~repro.analysis.counters.CounterSample` instances
-bracketing an interval, apply GETAVGS per queue and combine per §3.2:
+bracketing an interval, apply GETAVGS per queue and combine per §3.2
+with the online estimator's :func:`~repro.core.estimator.combine`:
 
     L_client_view = d(unacked,client) − d(ackdelay,server)
-                    + d(unread,server) + d(unread,client)
+                    + d(unread,client) + d(unread,server)
     L_server_view = the symmetric expression
     L = max(both views)                       (the paper's hedge)
 
@@ -20,32 +21,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.counters import CounterSample, TripleSnapshot
+from repro.analysis.counters import CounterSample
+from repro.core.estimator import QueueDelays, combine, queue_delays
 from repro.core.littles_law import get_avgs
-from repro.core.qstate import QueueSnapshot
+from repro.core.qstate import QueueSnapshot, TripleSnapshot
 from repro.errors import EstimationError
 from repro.units import SEC
 
 
 def _delay(prev: QueueSnapshot, cur: QueueSnapshot) -> float | None:
+    # get_avgs: an exported counter dump whose counters run backwards
+    # is an error in the dump, not a degraded sample.
     if cur.time <= prev.time:
         return None
     return get_avgs(prev, cur).latency_ns
 
 
-def _view(
-    local_prev: TripleSnapshot,
-    local_cur: TripleSnapshot,
-    remote_prev: TripleSnapshot,
-    remote_cur: TripleSnapshot,
-) -> float | None:
-    unacked = _delay(local_prev.unacked, local_cur.unacked)
-    local_unread = _delay(local_prev.unread, local_cur.unread)
-    remote_unread = _delay(remote_prev.unread, remote_cur.unread)
-    if unacked is None or local_unread is None or remote_unread is None:
-        return None
-    ackdelay = _delay(remote_prev.ackdelay, remote_cur.ackdelay) or 0.0
-    return unacked - ackdelay + local_unread + remote_unread
+def endpoint_delays(prev: TripleSnapshot, cur: TripleSnapshot) -> QueueDelays:
+    """One endpoint's three queue delays between two counter samples."""
+    return queue_delays(prev, cur, _delay)
 
 
 @dataclass(frozen=True)
@@ -71,8 +65,10 @@ def estimate_between(prev: CounterSample, cur: CounterSample) -> OfflineEstimate
         raise EstimationError(
             f"snapshots out of order: {prev.time} -> {cur.time}"
         )
-    client_view = _view(prev.client, cur.client, prev.server, cur.server)
-    server_view = _view(prev.server, cur.server, prev.client, cur.client)
+    client = endpoint_delays(prev.client, cur.client)
+    server = endpoint_delays(prev.server, cur.server)
+    client_view, _ = combine(client, server)
+    server_view, _ = combine(server, client)
     views = [v for v in (client_view, server_view) if v is not None]
     interval = cur.client.unacked.time - prev.client.unacked.time
     throughput = 0.0

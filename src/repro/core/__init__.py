@@ -4,11 +4,14 @@ This package implements §3 of *Batching with End-to-End Performance
 Estimation* (HotOS'25):
 
 - :mod:`~repro.core.qstate` — the 4-tuple queue state and the ``TRACK``
-  update procedure (Algorithm 1).
+  update procedure (Algorithm 1), and ``TripleSnapshot``, the one record
+  of an endpoint's three ``(time, total, integral)`` snapshots.
 - :mod:`~repro.core.littles_law` — ``GETAVGS`` (Algorithm 2): average
   occupancy, throughput and queuing delay between two snapshots.
 - :mod:`~repro.core.estimator` — combining the three TCP queue delays
-  (unacked, unread, ackdelay) into an end-to-end latency estimate (§3.2).
+  (unacked, unread, ackdelay) into an end-to-end latency estimate (§3.2);
+  ``combine`` is the sum the online estimator, the offline analysis and
+  the A11 decomposition share.
 - :mod:`~repro.core.exchange` — the peer metadata exchange: 36-byte
   payloads of three 3-tuples, wrap-safe 32-bit wire counters (§3.2, §5).
 - :mod:`~repro.core.hints` — the cooperative-application ``create``/
@@ -42,6 +45,7 @@ _EXPORTS = {
     "ThroughputUnderSloPolicy": ".policy",
     "QueueSnapshot": ".qstate",
     "QueueState": ".qstate",
+    "TripleSnapshot": ".qstate",
     "ByteUnits": ".semantic",
     "HintUnits": ".semantic",
     "MessageUnits": ".semantic",

@@ -26,7 +26,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from repro.core.qstate import QueueSnapshot, QueueState
+from repro.core.qstate import QueueSnapshot, QueueState, TripleSnapshot
 from repro.errors import EstimationError
 from repro.units import msecs
 
@@ -203,20 +203,12 @@ class _QueueUnwrapper:
         )
 
 
-@dataclass(frozen=True)
-class PeerSnapshots:
-    """Unwrapped remote queue snapshots from one exchange."""
-
-    unacked: QueueSnapshot
-    unread: QueueSnapshot
-    ackdelay: QueueSnapshot
-
-
 class MetadataExchange:
     """Attaches to a socket; shares queue states, collects the peer's.
 
     The paper keeps two states per connection, previous and current
-    (§5); :attr:`remote_prev` / :attr:`remote_cur` are exactly those.
+    (§5); :attr:`remote_prev` / :attr:`remote_cur` are exactly those,
+    each the peer's unwrapped :class:`~repro.core.qstate.TripleSnapshot`.
     When a :class:`~repro.core.hints.HintSession` is supplied, its
     userspace queue state rides along as the hint option (§3.3's
     ancillary-data path).
@@ -278,8 +270,8 @@ class MetadataExchange:
             time_unit_ns=self.scale.time_unit_ns, integral_shift=0
         )
         self._unwrap_hint = _QueueUnwrapper(self._hint_scale)
-        self.remote_prev: PeerSnapshots | None = None
-        self.remote_cur: PeerSnapshots | None = None
+        self.remote_prev: TripleSnapshot | None = None
+        self.remote_cur: TripleSnapshot | None = None
         self.remote_hint_prev: QueueSnapshot | None = None
         self.remote_hint_cur: QueueSnapshot | None = None
         self.fault_hook = None  # attached by repro.faults
@@ -394,7 +386,7 @@ class MetadataExchange:
             )
 
     def _receive_state(self, state: WirePeerState) -> None:
-        candidate = PeerSnapshots(
+        candidate = TripleSnapshot(
             unacked=self._unwrap_unacked.preview(state.unacked),
             unread=self._unwrap_unread.preview(state.unread),
             ackdelay=self._unwrap_ackdelay.preview(state.ackdelay),
@@ -418,7 +410,7 @@ class MetadataExchange:
                 "rebaselined" if rebaseline else "accepted",
                 candidate,
             )
-        snapshots = PeerSnapshots(
+        snapshots = TripleSnapshot(
             unacked=self._unwrap_unacked.update(state.unacked),
             unread=self._unwrap_unread.update(state.unread),
             ackdelay=self._unwrap_ackdelay.update(state.ackdelay),
@@ -434,7 +426,7 @@ class MetadataExchange:
     #: (a random 32-bit flip) jumps by ~2³¹ and sails past this.
     ZERO_DT_JUMP = 1 << 24
 
-    def _implausible(self, candidate: PeerSnapshots) -> bool:
+    def _implausible(self, candidate: TripleSnapshot) -> bool:
         """Whether a candidate state cannot follow the current one."""
         cur = self.remote_cur
         if cur is None:

@@ -45,6 +45,25 @@ class QueueSnapshot:
         )
 
 
+@dataclass(frozen=True)
+class TripleSnapshot:
+    """One endpoint's three queue snapshots, taken together: what a
+    counter sample, a metadata exchange and the estimator all record."""
+
+    unacked: QueueSnapshot
+    unread: QueueSnapshot
+    ackdelay: QueueSnapshot
+
+    @classmethod
+    def capture(cls, states) -> "TripleSnapshot":
+        """Snapshot an object exposing qs_unacked/qs_unread/qs_ackdelay."""
+        return cls(
+            unacked=states.qs_unacked.snapshot(),
+            unread=states.qs_unread.snapshot(),
+            ackdelay=states.qs_ackdelay.snapshot(),
+        )
+
+
 class QueueState:
     """The mutable 4-tuple queue state of Algorithm 1.
 

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.analysis.offline import window_estimate
+from repro.analysis.offline import endpoint_delays
 from repro.analysis.report import format_table
-from repro.core.littles_law import get_avgs
+from repro.core.estimator import QueueDelays, combine
 from repro.experiments.fig4a import default_config
 from repro.loadgen.lancet import BenchConfig, run_benchmark
 from repro.units import msecs, to_usecs
@@ -39,13 +39,10 @@ class Decomposition:
 
     @property
     def recombined(self) -> float:
-        """The formula's sum, from the components."""
-        return (
-            self.unacked_local
-            - self.ackdelay_remote
-            + self.unread_local
-            + self.unread_remote
-        )
+        """The formula's sum (:func:`combine`), from the components."""
+        local = QueueDelays(self.unacked_local, self.unread_local, None)
+        remote = QueueDelays(None, self.unread_remote, self.ackdelay_remote)
+        return combine(local, remote)[0]
 
 
 @dataclass
@@ -75,12 +72,6 @@ class DecompositionResult:
         )
 
 
-def _component(prev, cur) -> float:
-    if cur.time <= prev.time:
-        return 0.0
-    return get_avgs(prev, cur).latency_ns or 0.0
-
-
 def run_decomposition(
     rates: tuple[float, ...] = (5_000.0, 20_000.0, 30_000.0, 36_000.0),
     base: BenchConfig | None = None,
@@ -95,17 +86,16 @@ def run_decomposition(
         result = run_benchmark(config, tweak=lambda bed: holder.update(bed=bed))
         samples = holder["bed"].collector.samples
         first, last = samples[0], samples[-1]
-        estimate = window_estimate(samples, first.time, last.time)
+        client = endpoint_delays(first.client, last.client)
+        server = endpoint_delays(first.server, last.server)
         rows.append(
             Decomposition(
                 rate=rate,
-                unacked_local=_component(first.client.unacked, last.client.unacked),
-                ackdelay_remote=_component(
-                    first.server.ackdelay, last.server.ackdelay
-                ),
-                unread_local=_component(first.client.unread, last.client.unread),
-                unread_remote=_component(first.server.unread, last.server.unread),
-                total=estimate.client_view_ns or 0.0,
+                unacked_local=client.unacked or 0.0,
+                ackdelay_remote=server.ackdelay or 0.0,
+                unread_local=client.unread or 0.0,
+                unread_remote=server.unread or 0.0,
+                total=combine(client, server)[0] or 0.0,
                 measured=result.send_latency.mean_ns,
             )
         )

@@ -24,9 +24,9 @@ import json
 from dataclasses import asdict, dataclass, replace
 
 from repro.analysis.report import format_table
-from repro.core.estimator import E2EEstimator, combine_estimates
-from repro.core.policy import LatencyFirstPolicy, PerfSample
+from repro.core.estimator import E2EEstimator
 from repro.core.toggler import NagleToggler, TogglerConfig
+from repro.experiments.ablations import hedged_sample, start_toggler
 from repro.experiments.fig4a import default_config
 from repro.faults import named_plan
 from repro.loadgen.lancet import run_benchmark
@@ -153,14 +153,14 @@ class ChaosResult:
 def attach_chaos_controller(bed, config: TogglerConfig | None = None) -> dict:
     """Wire the hardened estimator+toggler stack onto a testbed.
 
-    Like :func:`repro.experiments.ablations.attach_toggler` but with the
-    degradation features enabled: both wire-mode estimators run with a
-    staleness budget and an absurdity ceiling, and the controller gets a
-    freeze window plus a loss signal that diffs the sockets' retransmit
-    counters each tick.
+    Built like :func:`repro.experiments.ablations.attach_toggler`, but
+    with the degradation features enabled: both wire-mode estimators run
+    with a staleness budget and an absurdity ceiling, and the controller
+    gets a freeze window plus a loss signal that diffs the sockets'
+    retransmit counters each tick.
 
-    Returns a holder dict with the toggler, both estimators and the
-    per-tick estimate log (for counting emitted negatives).
+    Returns a holder dict with the toggler and both estimators; each
+    tick's estimate is in the toggler's ``history``.
     """
     config = config or CHAOS_TOGGLER
     staleness = 8 * bed.config.exchange_period_ns
@@ -173,26 +173,6 @@ def attach_chaos_controller(bed, config: TogglerConfig | None = None) -> dict:
         bed.server_sock, exchange=bed.server_exchange,
         max_staleness_ns=staleness, max_latency_ns=SEC, tracer=tracer,
     )
-    estimates: list[float] = []
-
-    def sample_fn() -> PerfSample | None:
-        client_sample = client_estimator.sample()
-        server_sample = server_estimator.sample()
-        latency = combine_estimates(client_sample, server_sample)
-        if latency is None:
-            return None
-        estimates.append(latency)
-        throughput = (
-            client_sample.throughput_per_sec
-            if client_sample is not None and client_sample.defined
-            else server_sample.throughput_per_sec
-        )
-        return PerfSample(latency_ns=latency, throughput_per_sec=throughput)
-
-    def apply_fn(mode: bool) -> None:
-        bed.client_sock.set_nagle(mode)
-        bed.server_sock.set_nagle(mode)
-
     last_retransmits = [0]
 
     def loss_signal_fn() -> bool:
@@ -200,23 +180,15 @@ def attach_chaos_controller(bed, config: TogglerConfig | None = None) -> dict:
         seen, last_retransmits[0] = last_retransmits[0], total
         return total > seen
 
-    toggler = NagleToggler(
-        bed.sim,
-        sample_fn=sample_fn,
-        apply_fn=apply_fn,
-        policy=LatencyFirstPolicy(),
-        rng=bed.rng.stream("toggler"),
-        config=config,
-        initial_mode=False,
-        loss_signal_fn=loss_signal_fn,
-        tracer=tracer,
+    toggler = start_toggler(
+        bed, (bed.client_sock, bed.server_sock),
+        lambda: hedged_sample(client_estimator, server_estimator),
+        config, loss_signal_fn=loss_signal_fn,
     )
-    toggler.start()
     return {
         "toggler": toggler,
         "client_estimator": client_estimator,
         "server_estimator": server_estimator,
-        "estimates": estimates,
     }
 
 
@@ -290,7 +262,8 @@ def run_faults(
         result = run_benchmark(bench, tweak=tweak, tracer=tracer)
         bed = holder["bed"]
         toggler = holder["toggler"]
-        estimates = holder["estimates"]
+        estimates = [record.sample.latency_ns for record in toggler.history
+                     if record.sample is not None]
         estimators = (holder["client_estimator"], holder["server_estimator"])
         exchanges = (bed.client_exchange, bed.server_exchange)
         points.append(

@@ -114,14 +114,14 @@ class Tracer:
     # for direct library use.
     # ------------------------------------------------------------------
 
-    def queue_sample(self, src: str, unacked, unread, ackdelay) -> None:
-        """A ``queue.sample``: one endpoint's three queue snapshots."""
+    def queue_sample(self, src: str, triple) -> None:
+        """A ``queue.sample``: one endpoint's ``TripleSnapshot``."""
         if self.enabled:
             self.emit(
                 "queue.sample", src,
-                unacked=_snapshot_dict(unacked),
-                unread=_snapshot_dict(unread),
-                ackdelay=_snapshot_dict(ackdelay),
+                unacked=_snapshot_dict(triple.unacked),
+                unread=_snapshot_dict(triple.unread),
+                ackdelay=_snapshot_dict(triple.ackdelay),
             )
 
     def exchange_send(self, src: str, nbytes: int, demand: bool, hint: bool) -> None:

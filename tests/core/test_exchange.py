@@ -9,14 +9,13 @@ from repro.core.exchange import (
     OPTION_E2E,
     OPTION_HINT,
     MetadataExchange,
-    PeerSnapshots,
     WirePeerState,
     WireQueueState,
     WireScale,
     _CounterUnwrapper,
     _QueueUnwrapper,
 )
-from repro.core.qstate import QueueSnapshot, QueueState
+from repro.core.qstate import QueueSnapshot, QueueState, TripleSnapshot
 from repro.errors import EstimationError
 
 
@@ -188,7 +187,7 @@ class TestMetadataExchange:
         assert exchange.remote_cur is not None
         assert exchange.remote_prev is None
         exchange.on_receive({OPTION_E2E: state_b})
-        assert isinstance(exchange.remote_prev, PeerSnapshots)
+        assert isinstance(exchange.remote_prev, TripleSnapshot)
         assert exchange.remote_cur.unacked.time >= exchange.remote_prev.unacked.time
 
     def test_invalid_period_rejected(self):

@@ -12,12 +12,11 @@ from repro.core.estimator import E2EEstimator
 from repro.core.exchange import (
     OPTION_E2E,
     MetadataExchange,
-    PeerSnapshots,
     WirePeerState,
     WireQueueState,
 )
 from repro.core.policy import LatencyFirstPolicy, PerfSample
-from repro.core.qstate import QueueSnapshot
+from repro.core.qstate import QueueSnapshot, TripleSnapshot
 from repro.core.toggler import NagleToggler, TogglerConfig
 from repro.experiments.faults import min_toggle_gap_ticks
 from repro.faults import named_plan
@@ -174,7 +173,7 @@ class TestEstimatorHardening:
         unread = snap(
             time, total if unread_total is None else unread_total, integral,
         )
-        return PeerSnapshots(
+        return TripleSnapshot(
             unacked=snap(time, total, integral),
             unread=unread,
             ackdelay=snap(time, total, integral),

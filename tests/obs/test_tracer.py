@@ -6,7 +6,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.schema import SCHEMA, validate_stream
 from repro.obs.sinks import ListSink
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.core.qstate import QueueSnapshot
+from repro.core.qstate import QueueSnapshot, TripleSnapshot
 
 
 def _tracer():
@@ -70,11 +70,7 @@ class TestTypedHelpers:
     def test_every_helper_conforms_to_schema(self):
         tracer = _tracer()
         snap = QueueSnapshot(time=1, total=2, integral=3)
-
-        class Candidate:
-            unacked = snap
-            unread = snap
-            ackdelay = snap
+        triple = TripleSnapshot(unacked=snap, unread=snap, ackdelay=snap)
 
         class Delays:
             unacked = 1.0
@@ -89,9 +85,9 @@ class TestTypedHelpers:
             throughput_per_sec = 10.0
             complete = False
 
-        tracer.queue_sample("client", snap, snap, snap)
+        tracer.queue_sample("client", triple)
         tracer.exchange_send("client", 36, demand=False, hint=True)
-        tracer.exchange_recv("client", "accepted", Candidate())
+        tracer.exchange_recv("client", "accepted", triple)
         tracer.estimator_sample("client", Sample(), clamped=None)
         tracer.estimator_reject("client", "stale", staleness_ns=5)
         tracer.toggler_decision(
