@@ -22,6 +22,7 @@ import argparse
 import sys
 from dataclasses import replace
 
+from repro.errors import ReproError
 from repro.loadgen.arrivals import Workload
 from repro.loadgen.lancet import BenchConfig, run_benchmark
 from repro.units import msecs, to_usecs
@@ -100,7 +101,8 @@ def _asks_supervision(args) -> bool:
 
 def _refuse(message: str) -> int:
     """Print ``error: message`` as one stderr line; returns exit code 2,
-    the code for flags a command's model would ignore."""
+    the code for flags a command's model would ignore and for any
+    library error a command raises."""
     print(f"error: {message}", file=sys.stderr)
     return 2
 
@@ -1309,6 +1311,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except ReproError as exc:
+        # A library error (a rejected config such as a negative rate or
+        # no clients, a campaign whose runs kept failing) is reported as
+        # one line, not a traceback.
+        return _refuse(str(exc))
     except BrokenPipeError:
         # Output piped into a consumer that closed early (e.g. `head`).
         import os

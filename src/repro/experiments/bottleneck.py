@@ -88,6 +88,17 @@ class BottleneckConfig:
     def horizon_ns(self) -> int:
         return self.warmup_ns + self.measure_ns
 
+    def validate(self) -> None:
+        """Raise on nonsensical parameters, as ``BenchConfig`` does."""
+        if self.flows < 1:
+            raise WorkloadError(f"need at least one flow, got {self.flows}")
+        if self.total_rate_per_sec <= 0:
+            raise WorkloadError(
+                f"rate must be positive: {self.total_rate_per_sec}"
+            )
+        if self.warmup_ns < 0 or self.measure_ns <= 0:
+            raise WorkloadError("warmup must be >= 0 and measure > 0")
+
 
 @dataclass(frozen=True)
 class FlowShardResult:
@@ -376,6 +387,7 @@ def run_shared_bottleneck(
     """
     from repro.sim.shard import merge_digest, merge_streams
 
+    config.validate()
     plan = WindowPlan(
         horizon_ns=config.horizon_ns,
         lookahead_ns=config.propagation_delay_ns,

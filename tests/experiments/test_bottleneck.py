@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.errors import WorkloadError
 from repro.experiments.bottleneck import (
     BottleneckConfig,
     run_shared_bottleneck,
@@ -104,3 +105,19 @@ def test_render():
     text = run_shared_bottleneck(small_config()).render()
     assert "Shared bottleneck" in text
     assert "aggregate" in text
+
+
+@pytest.mark.parametrize("overrides", [
+    {"flows": 0},
+    {"flows": -2},
+    {"total_rate_per_sec": 0.0},
+    {"warmup_ns": -1},
+    {"measure_ns": 0},
+], ids=lambda overrides: "=".join(map(str, *overrides.items())))
+def test_bad_config_is_refused_before_the_engine(overrides, monkeypatch):
+    def engine(*args, **kwargs):
+        raise AssertionError("a bad config reached the windowed engine")
+
+    monkeypatch.setattr("repro.experiments.bottleneck.run_windowed", engine)
+    with pytest.raises(WorkloadError):
+        run_shared_bottleneck(small_config(**overrides))

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.errors import WorkloadError
 from repro.experiments.fanin import (
     FaninConfig,
     build_fanin,
@@ -46,6 +47,29 @@ class TestBuildFanin:
         assert [host.name for host in bed.client_hosts] == ["client2"]
         assert [client.name for client in bed.clients] == ["lancet2"]
         assert bed.server.sockets == bed.server_socks
+
+
+class TestValidate:
+    @pytest.mark.parametrize("overrides", [
+        {"clients": 0},
+        {"total_rate_per_sec": 0.0},
+        {"warmup_ns": -1},
+        {"measure_ns": 0},
+    ], ids=lambda overrides: "=".join(map(str, *overrides.items())))
+    def test_bad_config_is_refused_before_it_runs(
+        self, overrides, monkeypatch
+    ):
+        # Refused by the config itself, never as a failing (and
+        # retried) campaign job.
+        def runner(*args, **kwargs):
+            raise AssertionError("a bad config reached the job runner")
+
+        monkeypatch.setattr("repro.parallel.ParallelRunner", runner)
+        config = small_config(**overrides)
+        with pytest.raises(WorkloadError):
+            build_fanin(config)
+        with pytest.raises(WorkloadError):
+            run_fanin_sharded(config, shards=1)
 
 
 class TestRunFanin:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.offline import CounterSample, estimate_between
 from repro.core.estimator import E2EEstimator, combine_estimates
+from repro.core.qstate import TripleSnapshot
 from repro.loadgen.arrivals import Workload
 from repro.loadgen.lancet import BenchConfig, run_benchmark
 from repro.units import KIB, msecs
@@ -136,3 +138,44 @@ class TestWireModeEstimator:
         assert values
         mean_estimate = sum(values) / len(values)
         assert mean_estimate > 0
+
+
+class TestOfflineAgreesWithOnline:
+    """The offline analysis and the online estimator are one §3.2 sum."""
+
+    @pytest.mark.parametrize("nagle", [False, True])
+    @pytest.mark.parametrize("rate", [5_000.0, 35_000.0, 60_000.0])
+    def test_offline_views_equal_oracle_estimates(self, rate, nagle):
+        # At two instants of one run, snapshot both ends and sample the
+        # oracle-mode estimators of each end's view: the offline client
+        # and server views over the same interval are the estimates.
+        taken = []
+
+        def tweak(bed):
+            client = E2EEstimator(bed.client_sock, remote=bed.server_sock)
+            server = E2EEstimator(bed.server_sock, remote=bed.client_sock)
+
+            def take():
+                taken.append((
+                    CounterSample(
+                        time=bed.sim.now,
+                        client=TripleSnapshot.capture(bed.client_sock),
+                        server=TripleSnapshot.capture(bed.server_sock),
+                    ),
+                    client.sample(),
+                    server.sample(),
+                ))
+
+            bed.sim.call_after(msecs(10), take)
+            bed.sim.call_after(msecs(28), take)
+
+        run_benchmark(config(
+            rate_per_sec=rate, nagle=nagle,
+            warmup_ns=msecs(10), measure_ns=msecs(20),
+        ), tweak=tweak)
+        (first, _, _), (last, client_view, server_view) = taken
+        offline = estimate_between(first, last)
+        assert client_view.latency_ns is not None
+        assert server_view.latency_ns is not None
+        assert offline.client_view_ns == client_view.latency_ns
+        assert offline.server_view_ns == server_view.latency_ns

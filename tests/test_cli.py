@@ -148,6 +148,28 @@ class TestCommands:
         assert flags[0] in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        "bottleneck --flows 0",
+        "bottleneck --flows -2",
+        "bottleneck --rate 0",
+        "fanin --clients 0",
+        "fanin --clients 0 --shards 1",
+        "fanin --rate 0",
+        "fanin --measure-ms 0",
+        "run --rate -5",
+        "run --rate 8000 --connections 0",
+    ])
+    def test_rejected_config_is_one_error_line(self, command, capsys):
+        # A config the library rejects is a usage error, refused before
+        # it runs: exit 2, one stderr line, no traceback.
+        argv = command.split()
+        if "--measure-ms" not in argv:
+            argv += ["--measure-ms", "5"]
+        assert main(argv + ["--warmup-ms", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("which, flag", [
         ("units", "--workers"),
         ("exchange", "--resume"),
