@@ -3,10 +3,10 @@
 :func:`run_spec` is the whole pipeline: expand the spec's matrix
 (:mod:`repro.campaign.matrix`), build each cell's runner arguments
 through its scenario (:mod:`repro.campaign.spec`), execute the lot
-through the supervised :class:`~repro.parallel.ParallelRunner` with
+through :meth:`repro.parallel.ParallelRunner.map_outcomes` with
 explicit content-addressed keys — so cells whose built configs coincide
-run once (``supervise.deduped``) and a ``--cache-dir``/``--resume``
-store replays recorded cells byte-identically — then harvest the spec's
+run once (``supervise.deduped``) and a ``--cache-dir`` store replays
+recorded cells byte-identically — then harvest the spec's
 metrics from each result and reduce them to a
 :class:`~repro.campaign.report.ImportanceReport`.
 
@@ -95,13 +95,12 @@ def run_spec(
 
     ``workers``/``policy``/``checkpoint`` are the standard supervised
     campaign knobs (see :class:`~repro.parallel.ParallelRunner`);
-    ``checkpoint`` may be a directory, a
-    :class:`~repro.supervise.CheckpointStore`, or a
-    :class:`~repro.cache.ResultCache`.  ``tracer`` records the campaign
-    as one ``repro-trace-v1`` stream (forcing serial execution) with a
-    ``campaign.plan`` record up front and a ``campaign.importance``
-    record after scoring; benchmark-shaped scenarios additionally
-    thread the tracer into each fresh run.  ``diagnosis`` (requires
+    ``checkpoint`` may be a directory or a
+    :class:`~repro.supervise.CheckpointStore`.  ``tracer`` records the
+    campaign as one ``repro-trace-v1`` stream (forcing serial execution)
+    with a ``campaign.plan`` record up front and a
+    ``campaign.importance`` record after scoring; benchmark-shaped
+    scenarios additionally thread the tracer into each fresh run.  ``diagnosis`` (requires
     ``tracer``) scores each cell's trace segment.  ``watchdog`` bounds
     each cell (benchmark-shaped scenarios only).  ``metrics`` (a
     :class:`~repro.obs.metrics.MetricsRegistry`) receives the

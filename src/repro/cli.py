@@ -66,17 +66,12 @@ def _resolve_shards(value):
 
 def _add_supervise(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--resume", default=None, metavar="DIR",
-        help="checkpoint directory (repro-checkpoint-v1): completed runs "
-             "are recorded there and skipped on a rerun, so an "
-             "interrupted campaign resumes with identical merged output",
-    )
-    parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="shared cross-experiment result cache (repro-checkpoint-v1): "
-             "completed runs are stored by content digest and any "
-             "experiment pointed at the same directory replays matching "
-             "runs from disk, byte-identical to running them",
+        help="result store (repro-checkpoint-v1): completed runs are "
+             "stored by content digest and any experiment pointed at the "
+             "same directory replays matching runs from disk, "
+             "byte-identical to running them, so an interrupted campaign "
+             "resumes where it stopped",
     )
     parser.add_argument(
         "--retries", type=int, default=None, metavar="N",
@@ -91,11 +86,11 @@ def _add_supervise(parser: argparse.ArgumentParser) -> None:
 
 
 def _asks_supervision(args) -> bool:
-    """Whether any of --workers, --resume, --cache-dir, --retries or
-    --job-timeout is set."""
+    """Whether any of --workers, --cache-dir, --retries or --job-timeout
+    is set."""
     return args.workers != 1 or any(
         getattr(args, flag) is not None
-        for flag in ("resume", "cache_dir", "retries", "job_timeout")
+        for flag in ("cache_dir", "retries", "job_timeout")
     )
 
 
@@ -108,8 +103,7 @@ def _refuse(message: str) -> int:
 
 
 def _supervise_from(args):
-    """(policy, checkpoint) from --retries/--job-timeout/--resume/
-    --cache-dir flags."""
+    """(policy, checkpoint) from --retries/--job-timeout/--cache-dir."""
     policy = None
     retries = getattr(args, "retries", None)
     timeout = getattr(args, "job_timeout", None)
@@ -122,25 +116,17 @@ def _supervise_from(args):
         if timeout is not None:
             kwargs["job_timeout_s"] = timeout
         policy = SupervisePolicy(**kwargs)
-    resume = getattr(args, "resume", None)
     cache_dir = getattr(args, "cache_dir", None)
-    if resume is not None and cache_dir is not None:
-        raise SystemExit(_refuse(
-            "--resume and --cache-dir both name a result store; "
-            "pick one (a cache directory already resumes matching runs)"
-        ))
-    if cache_dir is not None:
-        from repro.cache import ResultCache
+    if cache_dir is None:
+        return policy, None
+    from repro.supervise import CheckpointStore
 
-        return policy, ResultCache(cache_dir)
-    return policy, resume
+    return policy, CheckpointStore(cache_dir)
 
 
 def _report_cache(checkpoint) -> None:
-    """Print hit/miss accounting after a --cache-dir campaign."""
-    from repro.cache import ResultCache
-
-    if isinstance(checkpoint, ResultCache):
+    """Close a --cache-dir store and print its hit/miss line."""
+    if checkpoint is not None:
         checkpoint.close()
         print(checkpoint.describe())
 
@@ -233,7 +219,7 @@ def _fault_plan_from(args):
 
 class _BedHolder:
     """Captures the testbed from a run; picklable so the supervised
-    path can content-address the job even under ``--resume``."""
+    path can content-address the job even under ``--cache-dir``."""
 
     def __init__(self):
         self.bed = None
@@ -270,8 +256,8 @@ def _cmd_run(args) -> int:
     )
     holder = _BedHolder() if want_bed else None
     if policy is not None or checkpoint is not None:
-        # Supervised path: the run is checkpointed under --resume and
-        # skipped (with identical output) when already recorded there.
+        # Supervised path: the run is stored under --cache-dir and
+        # replayed (with identical output) when already recorded there.
         from repro.parallel import run_campaign
 
         result = run_campaign(
@@ -341,8 +327,8 @@ def _cmd_fanin(args) -> int:
     if args.shards is None and _asks_supervision(args):
         return _refuse(
             "repro fanin without --shards runs in-process; "
-            "--workers, --resume, --cache-dir, --retries and "
-            "--job-timeout apply only with --shards"
+            "--workers, --cache-dir, --retries and --job-timeout "
+            "apply only with --shards"
         )
     if args.shards is not None and args.toggler:
         return _refuse(
@@ -471,8 +457,8 @@ def _cmd_ablation(args) -> int:
     if args.which not in supervised and _asks_supervision(args):
         return _refuse(
             f"repro ablation {args.which} runs in-process; "
-            f"--workers, --resume, --cache-dir, --retries and "
-            f"--job-timeout apply only to {' and '.join(supervised)}"
+            f"--workers, --cache-dir, --retries and --job-timeout "
+            f"apply only to {' and '.join(supervised)}"
         )
     measure = msecs(args.measure_ms)
     policy, checkpoint = _supervise_from(args)
@@ -1327,9 +1313,7 @@ def main(argv: list[str] | None = None) -> int:
         # every record as it lands, so everything completed before the
         # interrupt is durable and a rerun resumes from it.
         print("\ninterrupted", file=sys.stderr)
-        store = getattr(args, "resume", None) or getattr(
-            args, "cache_dir", None
-        )
+        store = getattr(args, "cache_dir", None)
         if store:
             print(
                 f"hint: completed runs are checkpointed in {store}; "

@@ -354,31 +354,24 @@ def run_fanin_sharded(
     enforces by diffing ``--shards 2 --workers 2`` against the serial
     run.
     """
-    from repro.parallel import ParallelRunner, _as_store, _require_all_ok
+    from repro.parallel import ParallelRunner, _require_all_ok
     from repro.sim.shard import ShardPlan, merge_digest, merge_streams
     from repro.supervise.checkpoint import job_key
 
     config.validate()
     groups = ShardPlan.round_robin(config.clients, shards).assignments
-    store = _as_store(checkpoint)
-    try:
-        replies = _require_all_ok(
-            ParallelRunner(workers, policy=policy).map_outcomes(
-                _run_connections,
-                [(config, group) for group in groups],
-                checkpoint=store,
-                labels=[
-                    f"fanin shard {shard + 1}/{len(groups)}"
-                    for shard in range(len(groups))
-                ],
-                keys=[
-                    "fanin-" + job_key((config, group)) for group in groups
-                ],
-            )
+    replies = _require_all_ok(
+        ParallelRunner(workers, policy=policy).map_outcomes(
+            _run_connections,
+            [(config, group) for group in groups],
+            checkpoint=checkpoint,
+            labels=[
+                f"fanin shard {shard + 1}/{len(groups)}"
+                for shard in range(len(groups))
+            ],
+            keys=["fanin-" + job_key((config, group)) for group in groups],
         )
-    finally:
-        if store is not checkpoint:  # opened here from a directory
-            store.close()
+    )
     conns = sorted(
         (conn for shard_conns, _ in replies for conn in shard_conns),
         key=lambda conn: conn.index,

@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass, replace
 from repro.analysis.report import format_table
 from repro.core.estimator import E2EEstimator
 from repro.core.toggler import NagleToggler, TogglerConfig
+from repro.errors import WorkloadError
 from repro.experiments.ablations import hedged_sample, start_toggler
 from repro.experiments.fig4a import default_config
 from repro.faults import named_plan
@@ -224,7 +225,9 @@ def run_faults(
 
     ``intensities`` are multipliers on the named plan's knobs; 0 runs
     the exact fault-free configuration (``fault_plan=None``, no injector
-    built), so the first row doubles as the regression baseline.
+    built), so the first row doubles as the regression baseline.  A
+    negative (or NaN) intensity raises
+    :class:`~repro.errors.WorkloadError` before the first run.
 
     ``log`` is a :class:`repro.obs.ProgressLog` for per-intensity
     progress (default: silent); ``tracer`` records every point's run
@@ -232,6 +235,11 @@ def run_faults(
     """
     from repro.obs.log import NULL_LOG
 
+    for intensity in intensities:
+        if not intensity >= 0:
+            raise WorkloadError(
+                f"intensity factor must be >= 0: {intensity}"
+            )
     if log is None:
         log = NULL_LOG
     preset = named_plan(plan_name)

@@ -141,7 +141,7 @@ def run_fig2(seeds: tuple[int, ...] = DEFAULT_SEEDS,
     process pool busy across every cell; results equal the serial run.
     ``tracer`` records the whole campaign into one ``repro-trace-v1``
     stream (forcing serial execution — see
-    :meth:`repro.parallel.ParallelRunner.run_many`).  ``policy``,
+    :meth:`repro.parallel.ParallelRunner.map_outcomes`).  ``policy``,
     ``checkpoint`` and ``watchdog`` forward to
     :func:`repro.parallel.run_campaign`; pointing ``checkpoint`` at a
     directory makes the campaign resumable (completed cells are skipped

@@ -235,30 +235,24 @@ def run_windowed(
     ``sim.sync.windows`` / ``sim.sync.exchanged_events`` counters, the
     same whether the job ran or came from the store.
     """
-    from repro.parallel import ParallelRunner, _as_store, _require_all_ok
+    from repro.parallel import ParallelRunner, _require_all_ok
     from repro.supervise.checkpoint import job_key
 
     ends = plan.window_ends()
     # The key and the reply's (index, result) pairs keep the shape that
     # existing stores hold, so their replies still hit.
     components = tuple(range(count))
-    store = _as_store(checkpoint)
-    try:
-        ((per_window, results, events),) = _require_all_ok(
-            ParallelRunner(policy=policy).map_outcomes(
-                _run_group,
-                [(builder, count, ends)],
-                checkpoint=store,
-                labels=[label],
-                keys=[
-                    "sync-"
-                    + job_key((label, count, plan, builder, components))
-                ],
-            )
+    ((per_window, results, events),) = _require_all_ok(
+        ParallelRunner(policy=policy).map_outcomes(
+            _run_group,
+            [(builder, count, ends)],
+            checkpoint=checkpoint,
+            labels=[label],
+            keys=[
+                "sync-" + job_key((label, count, plan, builder, components))
+            ],
         )
-    finally:
-        if store is not checkpoint:  # opened here from a directory
-            store.close()
+    )
 
     if metrics is not None:
         metrics.counter("sim.sync.windows").inc(len(ends))

@@ -12,14 +12,16 @@ into a supervised campaign:
 - :mod:`~repro.supervise.outcome` — :class:`JobSuccess` /
   :class:`JobFailure`, index-aligned with the submitted jobs;
 - :mod:`~repro.supervise.checkpoint` — the ``repro-checkpoint-v1``
-  JSONL shard store keyed by config content digest, enabling
-  ``repro ... --resume DIR``;
+  JSONL shard store keyed by config content digest: the one result
+  store behind ``repro ... --cache-dir DIR``, which resumes an
+  interrupted campaign and replays runs shared between experiments;
 - :mod:`~repro.supervise.watchdog` — in-simulation event/sim-time
   budgets raising the typed :class:`~repro.errors.WatchdogError`.
 
-:mod:`repro.parallel` builds its campaign API on this package; drivers
-and the CLI only thread :class:`SupervisePolicy` / checkpoint
-directories through.
+:mod:`repro.parallel` builds its campaign API on this package, and
+:meth:`repro.parallel.ParallelRunner.map_outcomes` is the one caller of
+:class:`Supervisor`; drivers and the CLI only thread
+:class:`SupervisePolicy` and checkpoint stores or directories through.
 """
 
 from repro._lazy import lazy_exports

@@ -33,6 +33,12 @@ Record layout (one JSON object per line)::
 Failed records are informational: the loader does *not* treat them as
 complete, so a resume retries quarantined configs in the (possibly
 healthier) new environment.
+
+Because jobs are pure and keys are content digests, one directory also
+serves as a result cache shared between experiments: a later command
+pointed at the same ``--cache-dir`` replays every job it shares with an
+earlier one.  The store counts its lookups and writes for
+:meth:`CheckpointStore.describe`.
 """
 
 from __future__ import annotations
@@ -145,7 +151,11 @@ def derive_keys(payloads, durable: bool) -> list[str]:
 
 
 class CheckpointStore:
-    """Append-only JSONL shards of completed campaign jobs, by key."""
+    """Append-only JSONL shards of completed campaign jobs, by key.
+
+    ``hits`` and ``misses`` count :meth:`get` lookups, and ``stores``
+    counts :meth:`record_success` writes, since this object opened.
+    """
 
     def __init__(self, directory, label: str | None = None):
         self.directory = pathlib.Path(directory)
@@ -156,6 +166,9 @@ class CheckpointStore:
         self._load()
         self._shard_path = self.directory / f"shard-{self._next_shard():03d}.jsonl"
         self._shard_file = None
+        self.hits = 0
+        self.misses = 0
+        self.stores = 0
 
     # -- loading --------------------------------------------------------
 
@@ -223,8 +236,14 @@ class CheckpointStore:
         return key in self._completed
 
     def get(self, key: str):
-        """The stored ``(result, attempts)`` for ``key``, or None."""
-        return self._completed.get(key)
+        """The stored ``(result, attempts)`` for ``key``, or None;
+        counts the lookup as a hit or a miss."""
+        stored = self._completed.get(key)
+        if stored is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return stored
 
     @property
     def failures(self) -> dict[str, dict]:
@@ -265,6 +284,7 @@ class CheckpointStore:
         })
         self._completed[key] = (result, attempts)
         self._failures.pop(key, None)
+        self.stores += 1
 
     def record_failure(self, key: str, failure: JobFailure) -> None:
         """Persist one quarantined job (informational; retried on resume)."""
@@ -285,3 +305,11 @@ class CheckpointStore:
         if self._shard_file is not None:
             self._shard_file.close()
             self._shard_file = None
+
+    def describe(self) -> str:
+        """One human line for CLI summaries."""
+        return (
+            f"cache {self.directory}: {self.hits} hit(s), "
+            f"{self.misses} miss(es), {self.stores} store(s), "
+            f"{len(self)} result(s) on disk"
+        )

@@ -43,7 +43,6 @@ by killing the pool's processes outright.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 import traceback
 from collections import deque
@@ -133,14 +132,12 @@ class Supervisor:
     def __init__(
         self,
         workers: int = 1,
-        start_method: str | None = None,
         policy: SupervisePolicy | None = None,
         checkpoint: CheckpointStore | None = None,
         tracer=None,
         diagnosis=None,
     ):
         self.workers = max(1, workers)
-        self.start_method = start_method
         self.policy = policy if policy is not None else SupervisePolicy()
         self.policy.validate()
         self.checkpoint = checkpoint
@@ -406,7 +403,6 @@ class Supervisor:
     def _run_pooled(self, fn, jobs: deque, outcomes) -> None:
         policy = self.policy
         workers = min(self.workers, len(jobs))
-        ctx = multiprocessing.get_context(self.start_method)
         pending: deque[_Job] = deque(jobs)
         executor = None  # built on demand, replaced when it dies or hangs
         # future -> (job, wall-clock deadline or None, owning executor)
@@ -419,9 +415,7 @@ class Supervisor:
                     if job is None:
                         break
                     if executor is None:
-                        executor = ProcessPoolExecutor(
-                            max_workers=workers, mp_context=ctx
-                        )
+                        executor = ProcessPoolExecutor(max_workers=workers)
                     try:
                         future = executor.submit(_guarded, fn, job.payload)
                     except BrokenExecutor:

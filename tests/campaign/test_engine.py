@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cache import ResultCache
 from repro.campaign import (
     CampaignSpec,
     ComponentSpec,
@@ -13,6 +12,7 @@ from repro.campaign import (
 )
 from repro.errors import CampaignSpecError
 from repro.obs.metrics import MetricsRegistry
+from repro.supervise import CheckpointStore
 
 TINY_BASE = {"measure_ms": 10, "warmup_ms": 5, "rate_per_sec": 5000.0}
 
@@ -62,10 +62,10 @@ class TestDedupe:
 class TestCaching:
     def test_cached_rerun_executes_nothing(self, tmp_path):
         spec = one_component_spec()
-        cache = ResultCache(tmp_path / "cache")
+        cache = CheckpointStore(tmp_path / "cache")
         first = run_spec(spec, checkpoint=cache)
         cache.close()
-        cache = ResultCache(tmp_path / "cache")
+        cache = CheckpointStore(tmp_path / "cache")
         second = run_spec(spec, checkpoint=cache)
         cache.close()
         assert first.executed == 2 and first.cached == 0

@@ -64,7 +64,7 @@ def test_sharded_is_byte_identical_in_process():
 def test_shared_store_keys_engine_runs_by_config(tmp_path):
     """Runs of different seeds share one store without reading each
     other's replies, and a rerun is served entirely from the store."""
-    from repro.cache import ResultCache
+    from repro.supervise import CheckpointStore
     from repro.experiments.fanin import FaninConfig, run_fanin_sharded
 
     runs = [
@@ -72,7 +72,7 @@ def test_shared_store_keys_engine_runs_by_config(tmp_path):
         (run_fanin_sharded,
          FaninConfig(warmup_ns=msecs(10), measure_ns=msecs(20))),
     ]
-    cache = ResultCache(tmp_path / "store")
+    cache = CheckpointStore(tmp_path / "store")
     first = [
         run(config, shards=2, checkpoint=cache).to_json()
         for run, config in runs

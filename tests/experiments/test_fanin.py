@@ -108,7 +108,7 @@ def test_resume_from_a_cut_store_matches_serial(tmp_path, one_reply_kept):
     # Two shard jobs, each stored whole.  Cut the store to its header
     # (stopped before either shard replied) or to one shard's reply: the
     # resumed run reruns only the shards the store lacks.
-    from repro.cache import ResultCache
+    from repro.supervise import CheckpointStore
 
     config = small_config(measure_ns=msecs(20))
     store = tmp_path / "store"
@@ -118,7 +118,7 @@ def test_resume_from_a_cut_store_matches_serial(tmp_path, one_reply_kept):
     assert len(replies) == 2
     kept = replies[: int(one_reply_kept)]
     path.write_text("\n".join([header, *kept]) + "\n")
-    cache = ResultCache(store)
+    cache = CheckpointStore(store)
     resumed = run_fanin_sharded(
         config, shards=2, workers=2, policy=_FAST, checkpoint=cache
     )

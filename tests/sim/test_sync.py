@@ -141,12 +141,12 @@ def test_ring_runs_in_process_and_repeats_exactly(monkeypatch):
 
 
 def test_metrics_count_windows_and_exchanges(tmp_path):
-    from repro.cache import ResultCache
+    from repro.supervise import CheckpointStore
     from repro.obs.tracer import Tracer
 
     count = 2
     plan = WindowPlan(60, _LOOKAHEAD)
-    cache = ResultCache(tmp_path / "store")
+    cache = CheckpointStore(tmp_path / "store")
     seen = []
     for _ in range(2):  # a fresh run, then the same run from the store
         metrics, tracer = MetricsRegistry(), Tracer()

@@ -163,11 +163,11 @@ class TestTraceRecords:
 
 class TestStrictEntryPoints:
     def test_campaign_error_carries_outcomes(self):
-        from repro.parallel import ParallelRunner
+        from repro.parallel import ParallelRunner, _require_all_ok
 
         runner = ParallelRunner(workers=1, policy=SupervisePolicy(max_attempts=1))
         with pytest.raises(CampaignError) as excinfo:
-            runner.map(_odd_raises, [2, 3, 4])
+            _require_all_ok(runner.map_outcomes(_odd_raises, [2, 3, 4]))
         error = excinfo.value
         assert "1/3 campaign jobs quarantined" in str(error)
         assert [o.ok for o in error.outcomes] == [True, False, True]

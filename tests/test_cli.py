@@ -106,7 +106,6 @@ class TestCommands:
 
     @pytest.mark.parametrize("flags", [
         ("--workers", "2"),
-        ("--resume", "{store}"),
         ("--cache-dir", "{store}"),
         ("--retries", "1"),
         ("--job-timeout", "5"),
@@ -170,9 +169,47 @@ class TestCommands:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [
+        "faults --intensities 0 -1 --measure-ms 5 --quiet",
+        "fig4a --rates -5 --measure-ms 5",
+        "run --rate -5 --retries 1 --measure-ms 5",
+    ])
+    def test_rejected_config_is_refused_before_any_run(
+        self, command, capsys
+    ):
+        # A bad point of a sweep or a supervised run is refused up front
+        # with one error line: it is neither run as the fault-free
+        # baseline nor retried into quarantine.
+        assert main(command.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "quarantined" not in captured.err
+        assert captured.out == ""
+
+    def test_cache_dir_replays_a_rerun_and_reports_it(
+        self, tmp_path, capsys
+    ):
+        argv = ["run", "--rate", "8000", "--measure-ms", "10",
+                "--warmup-ms", "5", "--cache-dir", str(tmp_path / "store")]
+        assert main(argv) == 0
+        first = capsys.readouterr().out.splitlines()
+        assert main(argv) == 0
+        again = capsys.readouterr().out.splitlines()
+        store = tmp_path / "store"
+        assert first[-1] == (
+            f"cache {store}: 0 hit(s), 1 miss(es), 1 store(s), "
+            f"1 result(s) on disk"
+        )
+        assert again[-1] == (
+            f"cache {store}: 1 hit(s), 0 miss(es), 0 store(s), "
+            f"1 result(s) on disk"
+        )
+        assert again[:-1] == first[:-1]
+
     @pytest.mark.parametrize("which, flag", [
         ("units", "--workers"),
-        ("exchange", "--resume"),
+        ("exchange", "--cache-dir"),
         ("ewma", "--cache-dir"),
         ("aimd", "--retries"),
         ("timevarying", "--job-timeout"),
@@ -181,8 +218,8 @@ class TestCommands:
         self, which, flag, tmp_path, capsys
     ):
         store = tmp_path / "store"
-        value = {"--resume": str(store), "--cache-dir": str(store),
-                 "--workers": "2", "--retries": "1", "--job-timeout": "5"}
+        value = {"--cache-dir": str(store), "--workers": "2",
+                 "--retries": "1", "--job-timeout": "5"}
         assert main([
             "ablation", which, "--measure-ms", "5", flag, value[flag],
         ]) == 2

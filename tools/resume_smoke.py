@@ -8,17 +8,22 @@ and the supervisor in-process; this tool is the end-to-end version CI
 runs against the real CLI:
 
 1. run the campaign cleanly, capturing stdout (the reference);
-2. start the same command with ``--resume DIR`` as a detached child,
-   wait until its checkpoint directory holds at least one completed
-   record, then SIGKILL the whole process group;
-3. rerun the same command with the same ``--resume DIR`` to completion;
-4. fail unless the resumed stdout is byte-identical to the reference
-   (and report how many runs the resume actually skipped).
+2. start the same command with ``--cache-dir DIR`` as a detached
+   child, wait until its store holds at least one completed record,
+   then SIGKILL the whole process group;
+3. rerun the same command with the same ``--cache-dir DIR`` to
+   completion;
+4. fail unless the resumed stdout, less the store's one ``cache DIR:``
+   summary line, is byte-identical to the reference, and unless a
+   campaign that was killed replays at least one run from the store.
+   The replayed count (the summary line's hits) is printed against the
+   number of runs checkpointed at the kill.
 
 Usage::
 
     PYTHONPATH=src python tools/resume_smoke.py
     PYTHONPATH=src python tools/resume_smoke.py --seeds 1 2 --measure-ms 40
+    PYTHONPATH=src python tools/resume_smoke.py --workers 2
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 import argparse
 import os
 import pathlib
+import re
 import signal
 import subprocess
 import sys
@@ -33,15 +39,15 @@ import tempfile
 import time
 
 
-def _campaign_cmd(args, resume: pathlib.Path | None) -> list[str]:
+def _campaign_cmd(args, store: pathlib.Path | None) -> list[str]:
     cmd = [
         sys.executable, "-m", "repro", "fig2",
         "--seeds", *[str(s) for s in args.seeds],
         "--measure-ms", str(args.measure_ms),
         "--workers", str(args.workers),
     ]
-    if resume is not None:
-        cmd += ["--resume", str(resume)]
+    if store is not None:
+        cmd += ["--cache-dir", str(store)]
     return cmd
 
 
@@ -78,7 +84,7 @@ def main(argv: list[str] | None = None) -> int:
 
     print("[1/3] reference: uninterrupted campaign", flush=True)
     clean = subprocess.run(
-        _campaign_cmd(args, resume=None), env=env,
+        _campaign_cmd(args, store=None), env=env,
         capture_output=True, text=True, timeout=args.poll_timeout,
     )
     if clean.returncode != 0:
@@ -92,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"[2/3] interrupt: SIGKILL after {args.kill_after} "
               "checkpointed run(s)", flush=True)
         victim = subprocess.Popen(
-            _campaign_cmd(args, resume=ckpt), env=env,
+            _campaign_cmd(args, store=ckpt), env=env,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             start_new_session=True,  # so the kill takes the whole group
         )
@@ -118,24 +124,37 @@ def main(argv: list[str] | None = None) -> int:
 
         print("[3/3] resume: same command, same directory", flush=True)
         resumed = subprocess.run(
-            _campaign_cmd(args, resume=ckpt), env=env,
+            _campaign_cmd(args, store=ckpt), env=env,
             capture_output=True, text=True, timeout=args.poll_timeout,
         )
         if resumed.returncode != 0:
             print(resumed.stderr, file=sys.stderr)
             print("FAIL: resumed campaign did not finish", file=sys.stderr)
             return 1
-        skipped = [
-            line for line in resumed.stderr.splitlines()
-            if "resume: skipped" in line
-        ]
-        if skipped:
-            print(f"      {skipped[-1].strip()}", flush=True)
+        summary = re.compile(
+            rf"^cache {re.escape(str(ckpt))}: (\d+) hit\(s\), .*\n",
+            re.MULTILINE,
+        )
+        hits = summary.findall(resumed.stdout)
+        if len(hits) != 1:
+            print(resumed.stdout, file=sys.stderr)
+            print(f"FAIL: expected one 'cache {ckpt}:' summary line, "
+                  f"found {len(hits)}", file=sys.stderr)
+            return 1
+        replayed = int(hits[0])
+        resumed_stdout = summary.sub("", resumed.stdout)
+        print(f"      replayed={replayed} of checkpointed={done_at_kill}",
+              flush=True)
+        if interrupted and replayed == 0:
+            print("FAIL: the rerun of the killed campaign replayed no run "
+                  "from the store", file=sys.stderr)
+            return 1
 
-    if resumed.stdout != clean.stdout:
+    if resumed_stdout != clean.stdout:
         print("FAIL: resumed output differs from the uninterrupted run",
               file=sys.stderr)
-        for name, text in (("clean", clean.stdout), ("resumed", resumed.stdout)):
+        for name, text in (("clean", clean.stdout),
+                           ("resumed", resumed_stdout)):
             print(f"--- {name} ---\n{text}", file=sys.stderr)
         return 1
     print("OK: resumed campaign output is byte-identical to the "
