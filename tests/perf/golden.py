@@ -27,7 +27,7 @@ from repro.experiments.fig2 import fig2_config
 from repro.experiments.fig4a import default_config as fig4a_config
 from repro.faults import named_plan
 from repro.loadgen.lancet import BenchConfig, run_benchmark
-from repro.units import msecs
+from repro.units import msecs, usecs
 
 
 def equivalence_configs() -> dict[str, BenchConfig]:
@@ -185,6 +185,52 @@ def run_instrumented(config: BenchConfig):
     return result, list(tracer.records)
 
 
+def dense_config() -> BenchConfig:
+    """The ``dense_4c`` shape: four connections sampled every 5 us.
+
+    The other shapes sample every 10 ms, so their digests cover a few
+    counter rows each; this one takes 2,002 samples of 24 queues, with
+    same-instant ties between ticks and queue changes on every side.
+    """
+    return replace(
+        fig2_config(vm=True, nagle=True, seed=1, measure_ns=msecs(10)),
+        warmup_ns=msecs(10),
+        connections=4,
+        counter_period_ns=usecs(5),
+    )
+
+
+def run_dense(traced: bool) -> dict[str, str]:
+    """Digests of one ``dense_4c`` run, shaped like :data:`GOLDEN_DENSE`.
+
+    ``samples`` covers every collector's materialized
+    :class:`~repro.analysis.counters.CounterSample` series and ``dump``
+    the post-run :func:`~repro.analysis.dump.dump_testbed` counters
+    (the raw queue states ``repro run --dump-counters`` prints).  A
+    traced run (every tracing layer on) adds the ``trace`` digest.
+    """
+    from repro.analysis.dump import dump_testbed
+    from repro.obs import Tracer, attach_deep_tracing
+
+    tracer = Tracer(label="equivalence") if traced else None
+    held = {}
+
+    def tweak(bed):
+        held["bed"] = bed
+        if traced:
+            attach_deep_tracing(bed, tracer)
+
+    run_benchmark(dense_config(), tweak=tweak, tracer=tracer)
+    bed = held["bed"]
+    out = {
+        "samples": digest([conn.collector.samples for conn in bed.conns]),
+        "dump": digest(dump_testbed(bed)),
+    }
+    if traced:
+        out["trace"] = digest(list(tracer.records))
+    return out
+
+
 def current_digests() -> dict[str, dict[str, str]]:
     """Digests of the current tree, shaped like the committed goldens."""
     out: dict[str, dict[str, str]] = {}
@@ -207,3 +253,4 @@ def current_experiment_digests() -> dict[str, str]:
 if __name__ == "__main__":
     print(json.dumps(current_digests(), indent=2))
     print(json.dumps(current_experiment_digests(), indent=2))
+    print(json.dumps({"dense_4c": run_dense(traced=True)}, indent=2))

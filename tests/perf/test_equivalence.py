@@ -23,6 +23,7 @@ from tests.perf.golden import (
     experiment_shapes,
     run_experiment,
     run_experiment_sharded,
+    run_dense,
     run_instrumented,
     run_plain,
 )
@@ -70,6 +71,18 @@ GOLDEN_EXPERIMENTS = {
 GOLDEN_FANIN_SHARDED = (
     "4a015db3cf0c7595a7461a32d25c822653cd3791dc6ea3e08101489675f3ad5c"
 )
+
+
+#: The ``dense_4c`` shape (see golden.dense_config): the instrumented
+#: trace (25,136 records, 16,016 of them ``queue.sample``), every
+#: collector's materialized samples, and the post-run counter dump.
+#: Captured while each counter tick still folded every queue and stored
+#: its row, before sampled queues logged their changes instead.
+GOLDEN_DENSE = {
+    "trace": "7d1715e2295c31f0532300671f4434fe411c66d20455d294585028eba3ff8ffa",
+    "samples": "946035906add82b536b4e416b3c505956ba8de799583dfec3e565eb498483839",
+    "dump": "a594ff3f83345f8f70b46f06b4e2f48c5d02c5e928e31ef83bc53b0db30cb330",
+}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -133,6 +146,16 @@ def test_instrumented_run_matches_pre_pr_golden(name):
     result, records = run_instrumented(config)
     assert digest(result) == GOLDEN[name]["result_instrumented"]
     assert digest(records) == GOLDEN[name]["trace"]
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_dense_sampling_matches_golden(traced):
+    """Dense counter sampling reproduces its samples, its post-run queue
+    states and, traced, its trace stream."""
+    expected = dict(GOLDEN_DENSE)
+    if not traced:
+        del expected["trace"]
+    assert run_dense(traced) == expected
 
 
 def test_instrumentation_is_invisible_to_results():
