@@ -114,9 +114,9 @@ class Testbed:
     clock: CounterClock  # samples every connection's collector
     faults: FaultInjector | None = None
     tracer: object = None  # repro.obs Tracer; NULL_TRACER when untraced
-    # The counter pipeline every testbed runs: flat sample columns (see
-    # repro.analysis.counters).  Read by benchmarks that report it.
-    backend: ClassVar[str] = "columns"
+    # The counter pipeline every testbed runs: per-queue change logs
+    # (see repro.analysis.counters).  Read by benchmarks that report it.
+    backend: ClassVar[str] = "changelog"
 
     @property
     def client_sock(self):
@@ -398,7 +398,7 @@ def _summarize_run(bed: Testbed, start: int, end: int) -> RunResult:
     # (hypothetical) batching policy spans — weighted by each
     # connection's estimated throughput, as uniform averaging would let
     # idle connections dilute the estimate.  The collector answers the
-    # window query from its sample columns.
+    # window query from its queues' change logs.
     estimate = None
     estimate_rps = None
     per_conn = [

@@ -191,6 +191,8 @@ class Supervisor:
             if primary is not None:
                 duplicates.append((index, key, primary))
                 continue
+            if not key.startswith("volatile-"):
+                primaries[key] = index
             # `is not None`, not truthiness: an *empty* store has
             # __len__ == 0 and must still be consulted so cache
             # accounting sees the miss.
@@ -206,8 +208,6 @@ class Supervisor:
                 )
                 hits += 1
                 continue
-            if not key.startswith("volatile-"):
-                primaries[key] = index
             jobs.append(_Job(index, payload, key, label))
         if hits:
             self.metrics.counter("supervise.checkpoint_hits").inc(hits)
@@ -220,8 +220,9 @@ class Supervisor:
             else:
                 self._run_pooled(fn, jobs, outcomes)
 
-        # Mirror each primary's outcome into its duplicates' slots (the
-        # supervisor fills every primary slot before returning, so the
+        # Mirror each primary's outcome into its duplicates' slots (a
+        # primary is either replayed from the store above or run by the
+        # supervisor, which fills its slot before returning, so the
         # lookup cannot miss).
         for index, key, primary in duplicates:
             outcome = outcomes[primary]

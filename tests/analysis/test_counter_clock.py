@@ -1,11 +1,14 @@
-"""One :class:`CounterClock` against one timer per collector.
+"""One :class:`CounterClock` against one eager timer per collector.
 
-Each collector used to own its periodic timer.  The clock replaced them
-with one timer per simulation that samples its collectors in the order
-given, on the claim that nothing can run between the
-per-collector ticks of one instant.  These tests keep the old timer as
-the reference and run both through the same seeded queue churn, with
-other callbacks landing exactly on tick instants, so ties at the same
+Each collector used to own its periodic timer, and each tick folded its
+queues and stored a row.  The clock replaced them with one timer per
+simulation, on the claim that nothing can run between the per-collector
+ticks of one instant, and its ticks read no queue: sampled queues log
+their changes and rows are built when read.  These tests keep the old
+timers as the reference, each recording
+:meth:`TripleSnapshot.capture` of its collector's endpoints at every
+tick, and run both through the same seeded queue churn, with other
+callbacks landing exactly on tick instants, so ties at the same
 nanosecond are exercised in both directions (scheduled before a tick and
 after it).
 """
@@ -16,8 +19,13 @@ import random
 
 import pytest
 
-from repro.analysis.counters import CounterClock, CounterCollector
-from repro.core.qstate import QueueState
+from repro.analysis.counters import (
+    CounterClock,
+    CounterCollector,
+    CounterSample,
+)
+from repro.analysis.offline import window_estimate
+from repro.core.qstate import QueueState, TripleSnapshot
 from repro.errors import EstimationError
 from repro.obs.tracer import Tracer
 from repro.sim.loop import Simulator
@@ -28,30 +36,42 @@ END = 120 + 40 * PERIOD  # the last tick lands on the stop instant
 
 
 class _PerCollectorTimer:
-    """The timer each collector used to own (the reference)."""
+    """The timer each collector used to own, sampling eagerly (the
+    reference): every tick captures both endpoints' snapshots and emits
+    their ``queue.sample`` records."""
 
-    def __init__(self, sim, collector):
+    def __init__(self, sim, tracer, period_ns, client, server):
         self._sim = sim
-        self._collector = collector
+        self._tracer = tracer
+        self._period_ns = period_ns
+        self._client = client
+        self._server = server
         self._timer = None
+        self.samples: list[CounterSample] = []
 
     def start(self):
-        self._collector.sample_now()
-        self._timer = self._sim.call_after(
-            self._collector.period_ns, self._tick
-        )
+        self._sample()
+        self._timer = self._sim.call_after(self._period_ns, self._tick)
 
     def stop(self):
         if self._timer is not None:
             self._sim.cancel(self._timer)
             self._timer = None
-        self._collector.sample_now()
+        self._sample()
+
+    def _sample(self):
+        sample = CounterSample(
+            time=self._sim.now,
+            client=TripleSnapshot.capture(self._client),
+            server=TripleSnapshot.capture(self._server),
+        )
+        self.samples.append(sample)
+        self._tracer.queue_sample(self._client.name, sample.client)
+        self._tracer.queue_sample(self._server.name, sample.server)
 
     def _tick(self):
-        self._collector.sample_now()
-        self._timer = self._sim.call_after(
-            self._collector.period_ns, self._tick
-        )
+        self._sample()
+        self._timer = self._sim.call_after(self._period_ns, self._tick)
 
 
 class _Endpoint:
@@ -67,7 +87,9 @@ class _Endpoint:
 
 
 def _run(seed: int, collectors: int, with_clock: bool):
-    """One seeded run; returns the collectors, tracer, log and events."""
+    """One seeded run; returns each collector's samples (built from the
+    clock's logs, or captured by the reference timers), the tracer, the
+    log of other callbacks and the event count."""
     sim = Simulator()
     tracer = Tracer()
     tracer.bind_clock(sim)
@@ -77,11 +99,8 @@ def _run(seed: int, collectors: int, with_clock: bool):
         for index in range(collectors)
         for side in ("client", "server")
     ]
-    sampled = [
-        CounterCollector(
-            sim, endpoints[2 * index], endpoints[2 * index + 1],
-            period_ns=PERIOD, tracer=tracer,
-        )
+    pairs = [
+        (endpoints[2 * index], endpoints[2 * index + 1])
         for index in range(collectors)
     ]
     log = []
@@ -118,12 +137,22 @@ def _run(seed: int, collectors: int, with_clock: bool):
     sim.call_at(START, lambda: churn("at-start"))  # before the start tick
 
     if with_clock:
+        sampled = [
+            CounterCollector(
+                sim, client, server, period_ns=PERIOD, tracer=tracer
+            )
+            for client, server in pairs
+        ]
         clock = CounterClock(sim, sampled)
         sim.call_at(START, clock.start)
         sim.run(until=END)
         clock.stop()
+        series = [collector.samples for collector in sampled]
     else:
-        timers = [_PerCollectorTimer(sim, c) for c in sampled]
+        sampled = timers = [
+            _PerCollectorTimer(sim, tracer, PERIOD, client, server)
+            for client, server in pairs
+        ]
 
         def begin():
             for timer in timers:
@@ -133,28 +162,28 @@ def _run(seed: int, collectors: int, with_clock: bool):
         sim.run(until=END)
         for timer in timers:
             timer.stop()
-    return sampled, tracer, log, sim.events_executed
+        series = [timer.samples for timer in timers]
+    return sampled, series, tracer, log, sim.events_executed
 
 
 @pytest.mark.parametrize("collectors", [1, 2, 3, 4])
 def test_clock_reproduces_per_collector_timers(collectors):
     for seed in range(6):
-        ref, ref_tracer, ref_log, ref_events = _run(seed, collectors, False)
-        got, tracer, log, events = _run(seed, collectors, True)
+        _, ref, ref_tracer, ref_log, ref_events = _run(seed, collectors, False)
+        got, series, tracer, log, events = _run(seed, collectors, True)
         assert log == ref_log, f"seed {seed}: other events reordered"
         assert tracer.records == ref_tracer.records, f"seed {seed}"
         assert any(r["type"] == "queue.sample" for r in tracer.records)
-        times = ref[0]._times
+        times = [sample.time for sample in ref[0]]
         assert times[0] == START and times[-1] == END
         rng = random.Random(seed)
-        for mine, theirs in zip(got, ref):
-            assert mine._times == theirs._times, f"seed {seed}"
-            assert mine._rows == theirs._rows, f"seed {seed}"
-            assert mine.samples == theirs.samples, f"seed {seed}"
+        for collector, mine, theirs in zip(got, series, ref):
+            assert collector.sample_count == len(theirs), f"seed {seed}"
+            assert mine == theirs, f"seed {seed}"
             for _ in range(40):
                 start, end = sorted(rng.sample(times, 2))
-                assert mine.window_estimate(start, end) == (
-                    theirs.window_estimate(start, end)
+                assert collector.window_estimate(start, end) == (
+                    window_estimate(theirs, start, end)
                 ), f"seed {seed}: [{start}, {end}]"
         # One tick event per instant instead of one per collector; the
         # final stop-sample at END runs no event in either.
@@ -184,3 +213,43 @@ def test_stopped_clock_schedules_nothing(sim):
     clock.stop()
     assert sim.pending == 0
     assert [s.time for s in collector.samples] == [0, 1000, 2000, 2500]
+
+
+def test_queue_sampled_by_a_second_running_clock_raises(sim):
+    """A queue logs for one running clock at a time; one endpoint used
+    as both sides, or one collector listed twice, is one log."""
+    shared, other, spare = (_Endpoint(sim, name) for name in "abc")
+    first = CounterClock(
+        sim, [CounterCollector(sim, shared, other, period_ns=1000)]
+    )
+    second = CounterClock(
+        sim, [CounterCollector(sim, spare, shared, period_ns=1000)]
+    )
+    first.start()
+    with pytest.raises(EstimationError, match="another running clock"):
+        second.start()
+
+    both_sides = CounterCollector(sim, spare, spare, period_ns=1000)
+    twice = CounterClock(sim, [both_sides, both_sides])
+    twice.start()
+    spare.qs_unacked.track(3)
+    sim.run(until=2500)
+    spare.qs_unacked.track(-1)
+    twice.stop()
+    first.stop()
+    samples = both_sides.samples
+    assert [s.time for s in samples] == [0, 1000, 2000, 2500]
+    assert all(s.client == s.server for s in samples)
+    assert [s.client.unacked.integral for s in samples] == [
+        0, 3000, 6000, 7500
+    ]
+    assert spare.qs_unacked.total == 1
+
+    # Once the first clock stopped, a new one may sample the queue.
+    third = CounterClock(
+        sim, [CounterCollector(sim, other, shared, period_ns=1000)]
+    )
+    third.start()
+    third.stop()
+    with pytest.raises(EstimationError, match="runs once"):
+        third.start()
