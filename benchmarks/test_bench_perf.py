@@ -246,7 +246,7 @@ def test_perf_dense_sampling_pipeline():
     """The sample pipeline on the dense-sampling shape.
 
     At datacenter-sweep sampling density counter collection dominates
-    the run, so this shape guards the flat-column collector: its
+    the run, so this shape guards the change-logged collector: its
     kernel-normalized seconds per run must not rise more than 10% over
     the committed ``dense_sampling`` baseline (same rule as the e2e
     gate, machine-independent).  Per-tick object snapshots ran about
