@@ -8,7 +8,7 @@ Examples::
     python -m repro run --rate 35000 --nagle --value-bytes 16384
     python -m repro ablation units
     python -m repro ablation toggler --measure-ms 300
-    python -m repro trace record toggler --out toggler.jsonl
+    python -m repro run --rate 50000 --toggler --trace toggler.jsonl
     python -m repro trace summarize toggler.jsonl
     python -m repro trace filter toggler.jsonl --type toggler.decision
 
@@ -40,6 +40,11 @@ def _add_workers(parser: argparse.ArgumentParser) -> None:
         "--workers", type=int, default=1,
         help="worker processes for independent runs (default 1 = serial, "
              "0 = one per CPU); results are identical to serial",
+    )
+    parser.add_argument(
+        "--job-timeout", type=float, default=None, metavar="SECONDS",
+        help="per-run wall-clock budget; a hung worker is killed and the "
+             "run retried (needs --workers > 1; default: no timeout)",
     )
 
 
@@ -77,11 +82,6 @@ def _add_supervise(parser: argparse.ArgumentParser) -> None:
         "--retries", type=int, default=None, metavar="N",
         help="extra attempts for a failing run before it is quarantined "
              "(default 2)",
-    )
-    parser.add_argument(
-        "--job-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-run wall-clock budget; a hung worker is killed and the "
-             "run retried (needs --workers > 1; default: no timeout)",
     )
 
 
@@ -206,29 +206,65 @@ def _finish_tracer(tracer, path: str) -> None:
 
 
 def _fault_plan_from(args):
-    if not getattr(args, "fault_plan", None):
+    if not args.fault_plan:
         return None
     from repro.faults import named_plan
 
     plan = named_plan(args.fault_plan)
-    intensity = getattr(args, "fault_intensity", 1.0)
-    if intensity != 1.0:
-        plan = plan.scaled(intensity)
+    if args.fault_intensity != 1.0:
+        plan = plan.scaled(args.fault_intensity)
     return None if plan.is_noop else plan
 
 
 class _BedHolder:
-    """Captures the testbed from a run; picklable so the supervised
-    path can content-address the job even under ``--cache-dir``."""
+    """Captures the testbed from a run and attaches what ``--deep`` and
+    ``--toggler`` ask for; picklable so the supervised path can
+    content-address the job even under ``--cache-dir``.
 
-    def __init__(self):
+    The flags are instance state only when set, so a holder that asks
+    for neither pickles as ``{'bed': None}``, the state its stored runs
+    are keyed by, and a ``--toggler`` run gets a key of its own.
+    """
+
+    deep = False
+    toggler = False
+    nagle_toggler = None
+
+    def __init__(self, deep: bool = False, toggler: bool = False):
         self.bed = None
+        if deep:
+            self.deep = True
+        if toggler:
+            self.toggler = True
 
     def __call__(self, bed) -> None:
         self.bed = bed
+        if self.toggler:
+            from repro.core.toggler import TogglerConfig
+            from repro.experiments.ablations import attach_toggler
+
+            self.nagle_toggler = attach_toggler(
+                bed,
+                config=TogglerConfig(
+                    tick_ns=msecs(4), epsilon=0.05, min_samples=2
+                ),
+            )
+        if self.deep:
+            from repro.obs import attach_deep_tracing
+
+            attach_deep_tracing(bed, bed.tracer)
 
 
 def _cmd_run(args) -> int:
+    if args.deep and not args.trace:
+        return _refuse("--deep adds records to a trace; it needs "
+                       "--trace PATH")
+    if args.toggler and args.nagle:
+        return _refuse("--toggler starts with Nagle off and flips it "
+                       "itself; --nagle would be overridden")
+    if args.toggler and args.connections != 1:
+        return _refuse("--toggler estimates and flips connection 0 only; "
+                       "it needs --connections 1")
     config = BenchConfig(
         rate_per_sec=args.rate,
         nagle=args.nagle,
@@ -254,7 +290,8 @@ def _cmd_run(args) -> int:
         or args.metrics is not None
         or tracer is not None
     )
-    holder = _BedHolder() if want_bed else None
+    holder = (_BedHolder(deep=args.deep, toggler=args.toggler)
+              if want_bed or args.toggler else None)
     if policy is not None or checkpoint is not None:
         # Supervised path: the run is stored under --cache-dir and
         # replayed (with identical output) when already recorded there.
@@ -273,7 +310,8 @@ def _cmd_run(args) -> int:
     if (args.metrics is not None or tracer is not None) and not restored:
         from repro.obs import collect_run_metrics
 
-        registry = collect_run_metrics(holder.bed, result=result)
+        registry = collect_run_metrics(holder.bed, result=result,
+                                       toggler=holder.nagle_toggler)
         snapshot = registry.snapshot()
         if tracer is not None:
             tracer.metrics_snapshot(snapshot)
@@ -384,11 +422,6 @@ def _cmd_bottleneck(args) -> int:
         run_shared_bottleneck,
     )
 
-    if args.shards != 1 or args.workers != 1:
-        return _refuse(
-            "repro bottleneck runs its coupled flows as one job in this "
-            "process; --shards and --workers accept only 1"
-        )
     config = BottleneckConfig(
         flows=args.flows,
         total_rate_per_sec=args.rate,
@@ -479,9 +512,9 @@ def _cmd_ablation(args) -> int:
             measure_ns=measure, workers=args.workers,
             policy=policy, checkpoint=checkpoint).render())
     elif args.which == "timevarying":
-        from repro.experiments.timevarying import run_timevarying
+        from repro.experiments.timevarying import PhasePlan, run_timevarying
 
-        print(run_timevarying().render())
+        print(run_timevarying(PhasePlan(phase_ns=measure)).render())
     else:  # pragma: no cover - argparse restricts choices
         return 2
     _report_cache(checkpoint)
@@ -526,78 +559,6 @@ def _cmd_profile(args) -> int:
               f"({document['events_per_sec']:,} events/sec under profiler)")
     else:
         print(rendered, end="")
-    return 0
-
-
-def _cmd_trace_record(args) -> int:
-    from repro.obs import (
-        JsonlSink,
-        Tracer,
-        attach_deep_tracing,
-        collect_run_metrics,
-        render_summary,
-        summarize_records,
-    )
-
-    tracer = Tracer(sink=JsonlSink(args.out), label=args.scenario)
-    holder: dict = {}
-
-    if args.scenario == "run":
-        config = BenchConfig(
-            rate_per_sec=args.rate,
-            nagle=args.nagle,
-            seed=args.seed,
-            warmup_ns=msecs(args.warmup_ms),
-            measure_ns=msecs(args.measure_ms),
-            fault_plan=_fault_plan_from(args),
-        )
-
-        def tweak(bed):
-            holder["bed"] = bed
-            if args.deep:
-                attach_deep_tracing(bed, tracer)
-
-        result = run_benchmark(config, tweak=tweak, tracer=tracer)
-        registry = collect_run_metrics(holder["bed"], result=result)
-        tracer.metrics_snapshot(registry.snapshot())
-    elif args.scenario == "toggler":
-        from repro.core.toggler import TogglerConfig
-        from repro.experiments.ablations import attach_toggler
-        from repro.experiments.fig4a import default_config
-
-        config = replace(
-            default_config(measure_ns=msecs(args.measure_ms)),
-            rate_per_sec=args.rate,
-            seed=args.seed,
-        )
-
-        def tweak(bed):
-            holder["bed"] = bed
-            holder["toggler"] = attach_toggler(
-                bed,
-                config=TogglerConfig(
-                    tick_ns=msecs(4), epsilon=0.05, min_samples=2
-                ),
-            )
-            if args.deep:
-                attach_deep_tracing(bed, tracer)
-
-        result = run_benchmark(config, tweak=tweak, tracer=tracer)
-        registry = collect_run_metrics(
-            holder["bed"], result=result, toggler=holder["toggler"]
-        )
-        tracer.metrics_snapshot(registry.snapshot())
-    else:  # fig2
-        from repro.experiments import run_fig2
-
-        run_fig2(
-            seeds=(args.seed,),
-            measure_ns=msecs(args.measure_ms),
-            tracer=tracer,
-        )
-    tracer.close()
-    print(f"trace written to {args.out} ({tracer.emitted} records)")
-    print(render_summary(summarize_records(args.out)))
     return 0
 
 
@@ -931,7 +892,7 @@ _COMMAND_SUMMARY: tuple[tuple[str, str], ...] = (
     ("ablation", "run one named ablation study"),
     ("profile", "cProfile a bench shape (repro-profile-v1)"),
     ("diagnose", "fault diagnosis over a trace (repro-diagnosis-v1)"),
-    ("trace", "record/summarize/filter/validate repro-trace-v1"),
+    ("trace", "summarize/filter/validate repro-trace-v1"),
     ("campaign", "declarative ablation campaigns (repro-campaign-v1)"),
 )
 
@@ -1006,6 +967,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "or one burst stalls past the whole window)")
     p_run.add_argument("--trace", default=None, metavar="PATH",
                        help="record a repro-trace-v1 JSONL of the run")
+    p_run.add_argument("--deep", action="store_true",
+                       help="with --trace: also trace per-socket protocol "
+                            "hooks (send/segment/ack/read), many records")
+    p_run.add_argument("--toggler", action="store_true",
+                       help="attach the estimate-fed epsilon-greedy Nagle "
+                            "toggler (sec. 5), starting with Nagle off; "
+                            "its decisions go into --trace")
     p_run.add_argument("--metrics", default=None, metavar="PATH",
                        help="write a repro-metrics-v1 JSON snapshot")
     _add_measure(p_run, 120)
@@ -1086,12 +1054,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="static Nagle on for every connection")
     p_bottleneck.add_argument("--seed", type=int, default=1)
     p_bottleneck.add_argument("--warmup-ms", type=int, default=40)
-    p_bottleneck.add_argument(
-        "--shards", type=_shards_arg, default=1, metavar="K",
-        help="only 1 (the default) is accepted: the flows and the "
-             "fabric exchange packets every lookahead window, so this "
-             "coupled run executes as one job in this process",
-    )
     p_bottleneck.add_argument("--json", default=None, metavar="PATH",
                               help="write the result as canonical "
                                    "unversioned JSON (byte-diffable)")
@@ -1099,11 +1061,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="record shard.window barrier records "
                                    "as repro-trace-v1 JSONL")
     _add_measure(p_bottleneck, 150)
-    p_bottleneck.add_argument(
-        "--workers", type=int, default=1,
-        help="only 1 (the default) is accepted: this coupled run "
-             "executes as one job in this process",
-    )
     _add_supervise(p_bottleneck)
     p_bottleneck.set_defaults(func=_cmd_bottleneck)
 
@@ -1184,34 +1141,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trace = sub.add_parser(
         "trace",
-        help="record, summarize, filter, or validate repro-trace-v1 streams",
+        help="summarize, filter, or validate repro-trace-v1 streams",
+        description="Summarize, filter, or validate repro-trace-v1 "
+                    "streams.  Record one with --trace PATH on run, "
+                    "fig2, faults, bottleneck or campaign run.",
     )
     trace_sub = p_trace.add_subparsers(dest="trace_command", required=True)
-
-    p_record = trace_sub.add_parser(
-        "record", help="run a traced scenario, writing a JSONL stream"
-    )
-    p_record.add_argument(
-        "scenario", choices=["run", "toggler", "fig2"],
-        help="what to trace: one benchmark run, a dynamic-toggling run, "
-             "or the full fig2 campaign",
-    )
-    p_record.add_argument("--out", required=True, metavar="PATH",
-                          help="JSONL output path")
-    p_record.add_argument("--rate", type=float, default=20_000.0,
-                          help="offered load (run/toggler; default 20000)")
-    p_record.add_argument("--nagle", action="store_true",
-                          help="static Nagle on (run scenario)")
-    p_record.add_argument("--seed", type=int, default=1)
-    p_record.add_argument("--warmup-ms", type=int, default=40)
-    p_record.add_argument("--fault-plan", default=None,
-                          help="inject a named fault plan (run scenario)")
-    p_record.add_argument("--fault-intensity", type=float, default=1.0)
-    p_record.add_argument("--deep", action="store_true",
-                          help="also trace per-socket protocol hooks "
-                               "(send/segment/ack/read), many records")
-    _add_measure(p_record, 120)
-    p_record.set_defaults(func=_cmd_trace_record)
 
     p_summarize = trace_sub.add_parser(
         "summarize", help="counts by record type and source, time span"

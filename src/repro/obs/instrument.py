@@ -7,7 +7,7 @@ every stream transition — send syscalls, segment departures, ack/read
 frontier advances — into ``tcp.event`` trace records.
 
 This is the *deep* (per-syscall, per-segment) level of detail; it is
-opt-in (``repro trace record --deep``) because a loaded run emits tens
+opt-in (``repro run --deep --trace PATH``) because a loaded run emits tens
 of records per request at this level, where the default emit points
 (queue samples, exchanges, estimates, decisions) stay at tens per
 millisecond for the whole run.

@@ -1,4 +1,5 @@
-"""End-to-end CLI tests: record a trace, read it back, validate it."""
+"""End-to-end CLI tests: record a trace with ``--trace``, read it back,
+validate it."""
 
 from __future__ import annotations
 
@@ -16,12 +17,17 @@ from repro.obs import read_jsonl, require_valid_stream
 REPO = Path(__file__).resolve().parents[2]
 
 
+def _tcp_events(path) -> set[str]:
+    return {record["event"] for record in read_jsonl(path)
+            if record["type"] == "tcp.event"}
+
+
 @pytest.mark.slow
 class TestTraceRecord:
     def test_record_run_validates(self, tmp_path, capsys):
         out = tmp_path / "run.jsonl"
         code = main([
-            "trace", "record", "run", "--out", str(out),
+            "run", "--trace", str(out),
             "--rate", "6000", "--measure-ms", "30", "--warmup-ms", "10",
         ])
         assert code == 0
@@ -37,7 +43,7 @@ class TestTraceRecord:
     def test_record_toggler_has_decisions(self, tmp_path, capsys):
         out = tmp_path / "toggler.jsonl"
         code = main([
-            "trace", "record", "toggler", "--out", str(out),
+            "run", "--toggler", "--trace", str(out),
             "--rate", "8000", "--measure-ms", "40",
         ])
         assert code == 0
@@ -51,6 +57,66 @@ class TestTraceRecord:
             "measure", "settle", "loss-freeze", "freeze-hold"
         }
         assert set(first["ewma"]) == {"nagle_off", "nagle_on"}
+        snapshot = next(r for r in records
+                        if r["type"] == "metrics.snapshot")
+        assert "toggler.toggles" in snapshot["metrics"]["counters"]
+
+    def test_deep_adds_the_protocol_hooks(self, tmp_path):
+        # A plain trace carries only the always-on taps; --deep adds
+        # the per-socket hooks of the same run.
+        plain, deep = tmp_path / "plain.jsonl", tmp_path / "deep.jsonl"
+        argv = ["run", "--rate", "6000", "--measure-ms", "10",
+                "--warmup-ms", "5"]
+        assert main(argv + ["--trace", str(plain)]) == 0
+        assert main(argv + ["--deep", "--trace", str(deep)]) == 0
+        assert _tcp_events(plain) == {"tx", "rx"}
+        assert _tcp_events(deep) - _tcp_events(plain) == {
+            "send", "segment_sent", "acked", "arrived", "read", "ack_sent",
+        }
+
+    def test_toggler_run_is_stored_under_its_own_key(self, tmp_path,
+                                                     capsys):
+        store = tmp_path / "store"
+        argv = ["run", "--rate", "8000", "--measure-ms", "10",
+                "--warmup-ms", "5", "--cache-dir", str(store)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + ["--toggler"]) == 0
+        toggled = capsys.readouterr().out.splitlines()
+        assert main(argv + ["--toggler"]) == 0
+        replayed = capsys.readouterr().out.splitlines()
+        assert toggled[-1] == (
+            f"cache {store}: 0 hit(s), 1 miss(es), 1 store(s), "
+            f"2 result(s) on disk"
+        )
+        assert replayed[-1] == (
+            f"cache {store}: 1 hit(s), 0 miss(es), 0 store(s), "
+            f"2 result(s) on disk"
+        )
+        assert replayed[:-1] == toggled[:-1]
+
+
+class TestRunRefusals:
+    """Flags ``repro run`` could not honour exit 2 before anything runs."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--deep"],
+        ["--toggler", "--nagle"],
+        ["--toggler", "--connections", "2"],
+    ], ids=" ".join)
+    def test_exits_2_with_one_line(self, flags, tmp_path, capsys):
+        store = tmp_path / "store"
+        assert main([
+            "run", "--rate", "8000", "--measure-ms", "5",
+            "--cache-dir", str(store), *flags,
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert all(flag in captured.err for flag in flags
+                   if flag.startswith("--"))
+        assert not store.exists()
 
 
 @pytest.mark.slow
@@ -59,7 +125,7 @@ class TestTraceReadback:
     def trace_path(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("trace") / "run.jsonl"
         assert main([
-            "trace", "record", "run", "--out", str(out),
+            "run", "--trace", str(out),
             "--rate", "6000", "--measure-ms", "30", "--warmup-ms", "10",
         ]) == 0
         return out

@@ -136,16 +136,32 @@ class TestCommands:
     def test_bottleneck_rejects_shards_and_workers(
         self, flags, tmp_path, capsys
     ):
-        # The coupled run is one in-process job whatever they say.
+        # The coupled run is one in-process job, so the parser has no
+        # such flags.
         out = tmp_path / "bottleneck.json"
-        assert main([
-            "bottleneck", "--flows", "2", "--warmup-ms", "2",
-            "--measure-ms", "5", *flags, "--json", str(out),
-        ]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert flags[0] in err
+        with pytest.raises(SystemExit) as exit_:
+            main([
+                "bottleneck", "--flows", "2", "--warmup-ms", "2",
+                "--measure-ms", "5", *flags, "--json", str(out),
+            ])
+        assert exit_.value.code == 2
+        assert flags[0] in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run --rate 8000", "bottleneck"])
+    def test_in_process_commands_have_no_job_timeout(self, command,
+                                                     capsys):
+        # One in-process job: no worker to kill, so no timeout to take.
+        with pytest.raises(SystemExit) as exit_:
+            build_parser().parse_args(
+                command.split() + ["--job-timeout", "0.001"]
+            )
+        assert exit_.value.code == 2
+        assert "--job-timeout" in capsys.readouterr().err
+
+    def test_timevarying_phases_follow_measure_ms(self, capsys):
+        assert main(["ablation", "timevarying", "--measure-ms", "5"]) == 0
+        assert "5 ms phases" in capsys.readouterr().out.splitlines()[0]
 
     @pytest.mark.parametrize("command", [
         "bottleneck --flows 0",
@@ -206,6 +222,15 @@ class TestCommands:
             f"1 result(s) on disk"
         )
         assert again[:-1] == first[:-1]
+
+    def test_plain_run_holder_keeps_its_store_state(self):
+        # `repro run --cache-dir` keys a job that carries the testbed
+        # holder by a pickle digest of it, so a holder that asks for
+        # neither --deep nor --toggler keeps the state stored runs were
+        # keyed by.
+        from repro.cli import _BedHolder
+
+        assert vars(_BedHolder()) == {"bed": None}
 
     @pytest.mark.parametrize("which, flag", [
         ("units", "--workers"),

@@ -6,7 +6,7 @@ delimited by HTML-comment markers:
 
 - ``<!-- repro-help: ARGS -->`` … ``<!-- /repro-help -->`` — the output
   of ``repro ARGS --help`` (``ARGS`` may be empty for the top-level
-  parser, or a subcommand path like ``trace record``), rendered at a
+  parser, or a subcommand path like ``campaign run``), rendered at a
   fixed 80-column width so the text is stable across terminals;
 - ``<!-- repro-NAME-schema -->`` … ``<!-- /repro-NAME-schema -->`` —
   one document's field tables, generated from the schema module's
@@ -70,7 +70,7 @@ SCHEMA_BLOCKS = {
 
 
 def _subparser(parser: argparse.ArgumentParser, path: list[str]):
-    """Resolve a subcommand path (e.g. ['trace', 'record']) to its parser."""
+    """Resolve a subcommand path (e.g. ['campaign', 'run']) to its parser."""
     for name in path:
         actions = [
             a for a in parser._actions
