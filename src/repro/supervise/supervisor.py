@@ -38,7 +38,10 @@ The executor is :class:`concurrent.futures.ProcessPoolExecutor`: a dead
 worker surfaces promptly as a broken pool (no timeout wait), and the
 pool is rebuilt fresh for the survivors.  Hung workers have no such
 signal — they are caught by the per-job wall-clock deadline and removed
-by killing the pool's processes outright.
+by killing the pool's processes outright.  The pool's modules
+(``concurrent.futures``, ``multiprocessing``, ``subprocess``,
+``logging``) are imported when a pooled run starts, so a serial run —
+one worker, or a single job — never loads them.
 """
 
 from __future__ import annotations
@@ -46,10 +49,7 @@ from __future__ import annotations
 import time
 import traceback
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import wait as futures_wait
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.errors import WatchdogError
 from repro.obs.metrics import MetricsRegistry
@@ -65,6 +65,9 @@ from repro.supervise.outcome import (
     JobSuccess,
 )
 from repro.supervise.policy import SupervisePolicy
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 
 def _guarded(fn: Callable, payload):
@@ -402,6 +405,8 @@ class Supervisor:
         return None
 
     def _run_pooled(self, fn, jobs: deque, outcomes) -> None:
+        import concurrent.futures as futures
+
         policy = self.policy
         workers = min(self.workers, len(jobs))
         pending: deque[_Job] = deque(jobs)
@@ -416,10 +421,12 @@ class Supervisor:
                     if job is None:
                         break
                     if executor is None:
-                        executor = ProcessPoolExecutor(max_workers=workers)
+                        executor = futures.ProcessPoolExecutor(
+                            max_workers=workers
+                        )
                     try:
                         future = executor.submit(_guarded, fn, job.payload)
-                    except BrokenExecutor:
+                    except futures.BrokenExecutor:
                         # A worker died since the last wait.  This job
                         # never ran: requeue it first, without a strike.
                         pending.appendleft(job)
@@ -443,10 +450,10 @@ class Supervisor:
                     time.sleep(policy.poll_interval_s)
                     continue
 
-                done, _ = futures_wait(
+                done, _ = futures.wait(
                     set(inflight),
                     timeout=policy.poll_interval_s,
-                    return_when=FIRST_COMPLETED,
+                    return_when=futures.FIRST_COMPLETED,
                 )
 
                 broken = False

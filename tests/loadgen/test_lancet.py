@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import WorkloadError
+from repro.errors import WatchdogError, WorkloadError
 from repro.loadgen.arrivals import Workload
 from repro.loadgen.lancet import BenchConfig, build_testbed, run_benchmark
 from repro.loadgen.sweep import estimated_curve, measured_curve, sweep_rates
+from repro.supervise import Watchdog
 from repro.units import KIB, msecs, usecs
 
 
@@ -93,6 +94,32 @@ class TestRunBenchmark:
         seen = {}
         run_benchmark(short_config(), tweak=lambda bed: seen.update(ok=True))
         assert seen.get("ok")
+
+    def test_watchdog_refuses_a_horizon_past_its_budget(self, monkeypatch):
+        # A budget of exactly warmup + measure runs; one ns less is
+        # refused before the testbed is built, so the tweak never runs.
+        config = short_config(warmup_ns=msecs(2), measure_ns=msecs(4))
+        horizon = config.warmup_ns + config.measure_ns
+        tweaked = []
+        result = run_benchmark(
+            config, tweak=tweaked.append,
+            watchdog=Watchdog(max_sim_time_ns=horizon),
+        )
+        assert len(tweaked) == 1 and result.latency.count > 0
+        built = []
+        monkeypatch.setattr(
+            "repro.loadgen.lancet.build_testbed",
+            lambda *args, **kwargs: built.append(args),
+        )
+        with pytest.raises(
+            WatchdogError,
+            match=f"run horizon {horizon}ns .* budget of {horizon - 1}ns",
+        ):
+            run_benchmark(
+                config, tweak=tweaked.append,
+                watchdog=Watchdog(max_sim_time_ns=horizon - 1),
+            )
+        assert built == [] and len(tweaked) == 1
 
     def test_mixed_workload_per_kind_stats(self):
         result = run_benchmark(

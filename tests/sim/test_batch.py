@@ -14,11 +14,19 @@ TRACK calls and are snapshotted at every tick.
 ``python`` names the pure-python pipeline, the one sample pipeline left
 since its numpy twin was removed; the ids keep these tests'
 long-standing names.
+
+The store is int64 words — the clock's instants and each log's entries
+— and the last tests bound its bytes, check that readers still get
+Python ints, and pin the one-way conversion of a log whose state passes
+64 bits.
 """
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
+from array import array
 
 import pytest
 
@@ -271,3 +279,139 @@ def test_row_before_a_queue_logged_change_raises():
         collector.samples
     with pytest.raises(EstimationError, match="backwards: 10 -> 9"):
         collector.window_estimate(0, 10)
+
+
+def _traced() -> int:
+    gc.collect()
+    return tracemalloc.get_traced_memory()[0]
+
+
+def test_store_holds_machine_words_and_answers_python_ints():
+    """Each sample instant costs the store at most 12 bytes and each
+    logged change at most 40, with nanosecond instants and byte counts
+    in a dense run's ranges (none an interpreter-cached small int); the
+    samples and window estimates read from it are Python ints."""
+    rng = random.Random(1)
+    ticks = 10_000
+    sim = Simulator()
+    sim.now = 20_000_000  # the end of a 20 ms warm-up
+    client = _Endpoint(sim)
+    busy = client.qs_unacked
+    busy.track(65_160)
+    collector = CounterCollector(sim, client, _Endpoint(sim), period_ns=5_000)
+    clock = CounterClock(sim, [collector])
+    clock.start()
+
+    def grown(change: bool) -> int:
+        """Traced bytes the store gains over ``ticks`` ticks."""
+        start = _traced()
+        for _ in range(ticks):
+            sim.now += 5_000
+            if change:  # one logged change per tick interval
+                busy.track(rng.randrange(1_448, 65_160))
+                busy.track(-rng.randrange(1_448, busy.size - 1_000))
+            clock.sample()
+        return _traced() - start
+
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        idle = grown(change=False)
+        changed = grown(change=True)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    # Both stretches took as many samples; only the second logged.
+    assert idle / ticks <= 12
+    assert (changed - idle) / ticks <= 40
+
+    clock.stop()
+    samples = collector.samples
+    assert len(samples) == 2 * ticks + 2
+    ints = {
+        type(value)
+        for sample in samples
+        for triple in (sample.client, sample.server)
+        for snapshot in (triple.unacked, triple.unread, triple.ackdelay)
+        for value in (sample.time, snapshot.time, snapshot.total,
+                      snapshot.integral)
+    }
+    assert ints == {int}
+    estimate = collector.window_estimate(samples[1].time, samples[-2].time)
+    assert (type(estimate.start), type(estimate.end)) == (int, int)
+    assert estimate == window_estimate(
+        samples, samples[1].time, samples[-2].time
+    )
+
+
+def test_log_past_64_bits_turns_python_once_and_stays_exact():
+    """A GiB queued at t ≈ 2⁴⁰ ns puts ``integral − size·time`` near
+    −2⁷⁰.  Its log converts its states to Python ints once, keeping the
+    entries logged before, leaves no partial entry, and answers ``at``,
+    the series and the fold at ``stop()`` as twin queues snapshotted
+    with Python ints do; logs that stay in range keep their array."""
+    rng = random.Random(11)
+    sim = Simulator()
+    sim.now = 2**40
+    client, server = _Endpoint(sim), _Endpoint(sim)
+    twin_client, twin_server = _Endpoint(sim), _Endpoint(sim)
+    collector = CounterCollector(sim, client, server, period_ns=1)
+    clock = CounterClock(sim, [collector])
+    expected = []
+
+    def reference():
+        expected.append(CounterSample(
+            time=sim.now,
+            client=_reference(twin_client),
+            server=_reference(twin_server),
+        ))
+
+    clock.start()
+    reference()
+    big, twin_big = client.qs_unacked, twin_client.qs_unacked
+    log = big._log  # the change log the clock attached
+    small = server.qs_unread._log
+    wide = None
+    for tick in range(300):
+        sim.now += rng.randrange(0, 5)
+        _churn_twins(rng, client, twin_client)
+        _churn_twins(rng, server, twin_server)
+        if tick >= 100 and rng.random() < 0.5:  # past 64 bits from here
+            nitems = rng.choice((2**30, -big.size))
+            big.track(nitems)
+            twin_big.track(nitems)
+        assert len(log.states) == 3 * len(log)  # whole entries only
+        if wide is None and not isinstance(log.states, array):
+            wide = log.states
+            assert len(log) > 1  # entries logged before are kept
+        clock.sample()
+        reference()
+    assert wide is not None and log.states is wide  # converted once
+    assert isinstance(small.states, array)
+    assert collector.samples == expected
+    queues = client.queues() + server.queues()
+    for tick, sample in enumerate(expected):
+        snapshots = [
+            snapshot
+            for triple in (sample.client, sample.server)
+            for snapshot in (triple.unacked, triple.unread, triple.ackdelay)
+        ]
+        for queue, snapshot in zip(queues, snapshots):
+            assert queue._log.at(tick, sample.time) == (
+                snapshot.total, snapshot.integral
+            ), f"tick {tick}"
+    sim.now += 1
+    _churn_twins(rng, client, twin_client)
+    big.track(2**30)
+    twin_big.track(2**30)
+    clock.stop()
+    reference()
+    assert collector.samples == expected
+    # The seal logged past 64 bits too, and folded like track(0).
+    assert log.states is wide and len(wide) == 3 * len(log)
+    for twin in (twin_client, twin_server):
+        for queue in twin.queues():
+            queue.track(0)
+    assert _state(client) == _state(twin_client)
+    assert _state(server) == _state(twin_server)

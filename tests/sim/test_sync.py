@@ -128,7 +128,7 @@ def test_ring_runs_in_process_and_repeats_exactly(monkeypatch):
         raise AssertionError("a coupled run started a worker pool")
 
     monkeypatch.setattr(
-        "repro.supervise.supervisor.ProcessPoolExecutor", no_pool
+        "concurrent.futures.ProcessPoolExecutor", no_pool
     )
     count = 3
     plan = WindowPlan(_HORIZON, _LOOKAHEAD)

@@ -109,7 +109,7 @@ class TestCrashRecovery:
                 return super().submit(*args, **kwargs)
 
         monkeypatch.setattr(
-            "repro.supervise.supervisor.ProcessPoolExecutor",
+            "concurrent.futures.ProcessPoolExecutor",
             BreaksOnceAtSubmit,
         )
         supervisor = Supervisor(workers=2, policy=FAST)
@@ -154,7 +154,7 @@ class TestTimeouts:
                 return future
 
         monkeypatch.setattr(
-            "repro.supervise.supervisor.ProcessPoolExecutor", SlowSubmitPool
+            "concurrent.futures.ProcessPoolExecutor", SlowSubmitPool
         )
         policy = SupervisePolicy(
             job_timeout_s=0.5, poll_interval_s=0.02,
