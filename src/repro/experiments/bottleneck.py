@@ -39,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 
-from repro.analysis.report import format_table
 from repro.apps.kvstore import KVStore
 from repro.apps.redis_client import ClientConfig, RedisClient
 from repro.apps.redis_server import RedisServer, ServerConfig
@@ -338,6 +337,8 @@ class BottleneckResult:
     events_executed: int
 
     def render(self) -> str:
+        from repro.analysis.report import format_table
+
         rows = [
             (f"flow {index}", to_usecs(mean))
             for index, mean in enumerate(self.per_flow_mean_ns)
@@ -378,9 +379,10 @@ def run_shared_bottleneck(
     """Run the shared-bottleneck scenario through the windowed engine.
 
     The flows exchange packets every window, so the engine runs them as
-    one supervised job in this process.  ``shards`` and ``workers`` are
-    accepted and ignored, because perfbench's ``bottleneck_2w`` passes
-    them; ``repro bottleneck`` refuses any value but 1.  ``policy``,
+    one job in this process: called directly, or supervised when a
+    ``policy`` or ``checkpoint`` is given.  ``shards`` and ``workers``
+    are accepted and ignored, because perfbench's ``bottleneck_2w``
+    passes them; ``repro bottleneck`` has neither flag.  ``policy``,
     ``checkpoint``, ``tracer`` and ``metrics`` thread through
     :func:`~repro.sim.sync.run_windowed` (a checkpointed run is stored
     whole, so an interrupted one reruns from the start).

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.report import format_table
 from repro.apps.redis_client import ClientConfig
 from repro.host.host import HostCosts
 from repro.loadgen.lancet import BenchConfig, RunResult
@@ -102,6 +101,8 @@ class Fig2Result:
 
     def render(self) -> str:
         """Figure 2 as a table plus verdicts."""
+        from repro.analysis.report import format_table
+
         rows = []
         for vm in (False, True):
             for nagle in (False, True):

@@ -15,7 +15,7 @@ testbed and drive it themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar
+from typing import TYPE_CHECKING, Callable, ClassVar
 
 from repro.analysis.counters import CounterClock, CounterCollector
 from repro.analysis.offline import OfflineEstimate, throughput_weighted
@@ -25,7 +25,6 @@ from repro.apps.redis_server import RedisServer, ServerConfig
 from repro.core.exchange import MetadataExchange
 from repro.core.hints import HintSession
 from repro.errors import WorkloadError
-from repro.faults import FaultInjector, FaultPlan
 from repro.host.host import Host, HostCosts
 from repro.loadgen.arrivals import Workload, poisson_schedule, uniform_schedule
 from repro.loadgen.stats import LatencySummary, summarize, throughput_per_sec
@@ -36,6 +35,9 @@ from repro.sim.rng import RngRegistry
 from repro.tcp.connect import connect_pair
 from repro.tcp.socket import TcpConfig
 from repro.units import SEC, msecs, usecs
+
+if TYPE_CHECKING:
+    from repro.faults import FaultInjector, FaultPlan
 
 
 @dataclass(frozen=True)
@@ -241,6 +243,8 @@ def build_testbed(config: BenchConfig, tracer=None) -> Testbed:
     # stream is ever created — runs without faults stay byte-identical.
     faults = None
     if config.fault_plan is not None and not config.fault_plan.is_noop:
+        from repro.faults.injector import FaultInjector
+
         faults = FaultInjector(sim, config.fault_plan, rng, tracer=tracer)
     PointToPoint.connect(
         sim,

@@ -22,9 +22,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.obs.schema import SCHEMA
-from repro.obs.sinks import ListSink
-
 
 def _snapshot_dict(snapshot) -> dict:
     """A ``QueueSnapshot`` (or similar) as schema {time,total,integral}."""
@@ -39,8 +36,14 @@ class Tracer:
     """Emits typed trace records to a sink when enabled.
 
     ``sink`` is anything with ``append(record)``/``close()`` (see
-    :mod:`repro.obs.sinks`); default is an in-memory :class:`ListSink`.
+    :mod:`repro.obs.sinks`); an enabled tracer defaults to an in-memory
+    :class:`~repro.obs.sinks.ListSink`, and a disabled one to no sink.
     ``clock`` may be deferred and bound later with :meth:`bind_clock`.
+
+    A recording tracer loads :mod:`repro.obs.schema` and
+    :mod:`repro.obs.sinks` when it is built, so the run it records
+    imports nothing new; a disabled one (:data:`NULL_TRACER`) loads
+    neither.
     """
 
     def __init__(
@@ -50,7 +53,15 @@ class Tracer:
         enabled: bool = True,
         label: str | None = None,
     ):
-        self.sink = sink if sink is not None else ListSink()
+        if enabled:
+            # Recording executes both modules (the stream header names
+            # the schema; the default sink keeps records in memory), so
+            # load them here rather than mid-run.
+            from repro.obs import schema, sinks
+
+            if sink is None:
+                sink = sinks.ListSink()
+        self.sink = sink
         self._clock = clock
         self.enabled = enabled
         self.label = label
@@ -70,7 +81,8 @@ class Tracer:
 
     def close(self) -> None:
         """Close the sink (flushes file-backed sinks)."""
-        self.sink.close()
+        if self.sink is not None:
+            self.sink.close()
 
     @property
     def records(self):
@@ -90,6 +102,8 @@ class Tracer:
         if not self.enabled:
             return
         if not self._header_written:
+            from repro.obs.schema import SCHEMA
+
             self._header_written = True
             self.sink.append({
                 "t": self._now(),
@@ -322,4 +336,4 @@ class Tracer:
 
 #: Shared always-disabled tracer: the default every instrumented
 #: component holds, so "no tracing" costs one attribute read per site.
-NULL_TRACER = Tracer(sink=ListSink(), enabled=False)
+NULL_TRACER = Tracer(enabled=False)

@@ -17,10 +17,10 @@ of typed :class:`~repro.supervise.outcome.JobOutcome` records — never
 ``None`` holes — so drivers can salvage partial results.  Each campaign
 gets its own pool, torn down when it ends, and a campaign of one job
 runs in the calling process whatever ``workers`` says — the windowed
-engine (:mod:`repro.sim.sync`) submits each coupled run as one such
-job.  :meth:`ParallelRunner.run_many_outcomes` maps the benchmark job
-over :class:`~repro.loadgen.lancet.BenchConfig` runs, and
-:func:`run_campaign` is its strict form: it raises
+engine (:mod:`repro.sim.sync`) submits a coupled run given a store or a
+policy as one such job.  :meth:`ParallelRunner.run_many_outcomes` maps
+the benchmark job over :class:`~repro.loadgen.lancet.BenchConfig` runs,
+and :func:`run_campaign` is its strict form: it raises
 :class:`~repro.errors.CampaignError` *after* the whole campaign has run
 if any job was quarantined, with the full outcome list attached.
 

@@ -25,14 +25,16 @@ the ``sim.sync.windows`` / ``sim.sync.exchanged_events`` counts.
 Execution
 ---------
 
-The components are coupled at every barrier, so a run is one supervised
-job in the calling process that steps every window and the exchange
-locally.  A coupled run spread over processes would pay a coordinator
-round trip per window, and on two cores no flow count or lookahead
-measured made that beat the serial run (docs/PERFORMANCE.md,
-"Intra-run sharding"); independent runs — the decomposed fan-in
-included — are where the cores pay, as ordinary campaigns.  The job is
-pure, so retries and checkpoints compose with byte-identical output.
+The components are coupled at every barrier, so a run is one job in
+the calling process that steps every window and the exchange locally.
+A coupled run spread over processes would pay a coordinator round trip
+per window, and on two cores no flow count or lookahead measured made
+that beat the serial run (docs/PERFORMANCE.md, "Intra-run sharding");
+independent runs — the decomposed fan-in included — are where the
+cores pay, as ordinary campaigns.  Without a store or a policy the job
+is called directly; with either it runs supervised, keyed by a digest
+of its builder, so only then must the builder pickle.  The job is pure,
+so retries and checkpoints compose with byte-identical output.
 """
 
 from __future__ import annotations
@@ -161,8 +163,7 @@ class SyncRunResult:
 # ----------------------------------------------------------------------
 
 def _run_group(builder, count, ends):
-    """The one supervised job: run components ``0..count-1`` through
-    ``ends``.
+    """The one job: run components ``0..count-1`` through ``ends``.
 
     At each barrier the messages due by the window end are delivered in
     exchange order ``(arrival, src, sequence)``, then every component
@@ -218,41 +219,46 @@ def run_windowed(
 ) -> SyncRunResult:
     """Run ``count`` components through the windowed engine.
 
-    ``builder(index)`` constructs component ``index``; it must be
-    picklable (a module-level function or :func:`functools.partial`
-    over picklable arguments), since the checkpoint key digests it.
-
-    The run is one supervised job in this process; ``policy`` threads
-    through the supervised runner.  ``checkpoint`` (a store or
-    directory) records the job's reply, and a later run with the same
-    key skips it.  The job is keyed by ``label``, ``count``, ``plan``
-    and ``builder`` (which carries the config), so runs of different
-    configs can share one store.
+    ``builder(index)`` constructs component ``index``.  Without
+    ``checkpoint`` or ``policy`` the job runs directly in this process,
+    and a job that raises (a lookahead violation, say) raises here.
+    With either, it runs as one supervised job in this process:
+    ``policy`` threads through the supervised runner, and
+    ``checkpoint`` (a store or directory) records the job's reply, so a
+    later run with the same key skips it.  The job is keyed by
+    ``label``, ``count``, ``plan`` and ``builder`` (which carries the
+    config), so runs of different configs can share one store; the key
+    digests the builder, which must then be picklable (a module-level
+    function or :func:`functools.partial` over picklable arguments).
 
     The job returns its per-window message counts, from which
     ``tracer`` receives one ``shard.window`` record per barrier and
     ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) the
     ``sim.sync.windows`` / ``sim.sync.exchanged_events`` counters, the
-    same whether the job ran or came from the store.
+    same whether the job ran directly, supervised or from the store.
     """
-    from repro.parallel import ParallelRunner, _require_all_ok
-    from repro.supervise.checkpoint import job_key
-
     ends = plan.window_ends()
-    # The key and the reply's (index, result) pairs keep the shape that
-    # existing stores hold, so their replies still hit.
-    components = tuple(range(count))
-    ((per_window, results, events),) = _require_all_ok(
-        ParallelRunner(policy=policy).map_outcomes(
-            _run_group,
-            [(builder, count, ends)],
-            checkpoint=checkpoint,
-            labels=[label],
-            keys=[
-                "sync-" + job_key((label, count, plan, builder, components))
-            ],
+    if checkpoint is None and policy is None:
+        per_window, results, events = _run_group(builder, count, ends)
+    else:
+        from repro.parallel import ParallelRunner, _require_all_ok
+        from repro.supervise.checkpoint import job_key
+
+        # The key and the reply's (index, result) pairs keep the shape
+        # that existing stores hold, so their replies still hit.
+        components = tuple(range(count))
+        ((per_window, results, events),) = _require_all_ok(
+            ParallelRunner(policy=policy).map_outcomes(
+                _run_group,
+                [(builder, count, ends)],
+                checkpoint=checkpoint,
+                labels=[label],
+                keys=[
+                    "sync-"
+                    + job_key((label, count, plan, builder, components))
+                ],
+            )
         )
-    )
 
     if metrics is not None:
         metrics.counter("sim.sync.windows").inc(len(ends))

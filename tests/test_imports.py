@@ -4,8 +4,11 @@ Every package ``__init__`` resolves its public names on first access
 (``repro._lazy``), and a run imports at set-up whatever it executes.  A
 fresh interpreter that sets up a testbed the way the benchmark does
 must therefore load none of the pool, supervisor, windowed-engine or
-other figure-driver modules, and must import nothing new once the run
-starts.  A serial supervised run (the shared bottleneck, a one-worker
+other figure-driver modules, nor the fault injector, the trace schema
+and sinks or the report tables unless its run executes them, and must
+import nothing new once the run starts.  A shared-bottleneck run
+without a store calls its one job directly, so it loads no supervisor;
+a serial supervised run (the bottleneck with a store, a one-worker
 campaign) runs its jobs in-process, so it loads no process-pool module.
 """
 
@@ -43,6 +46,12 @@ NOT_AT_SETUP = (
     "concurrent.futures", "subprocess",
 )
 
+#: Modules only a faulted, traced or rendering run executes.
+DEFERRED = (
+    "repro.faults.injector", "repro.obs.schema", "repro.obs.sinks",
+    "repro.analysis.report", "repro._fields",
+)
+
 TESTBED = """
 import json, sys
 from dataclasses import replace
@@ -56,9 +65,15 @@ config = fig2_config(vm=True, nagle=True, seed=1)
 if {plan!r}:
     config = replace(config, fault_plan=named_plan({plan!r}), connections=2)
 config = replace(config, warmup_ns=msecs(2), measure_ns=msecs(6))
+tracer = None
+if {traced!r}:
+    from repro.obs.tracer import Tracer
+
+    tracer = Tracer()
 modules = {{}}
 lancet.run_benchmark(
-    config, tweak=lambda bed: modules.update(setup=sorted(sys.modules))
+    config, tracer=tracer,
+    tweak=lambda bed: modules.update(setup=sorted(sys.modules)),
 )
 print(json.dumps({{"setup": modules["setup"], "run": sorted(sys.modules)}}))
 """
@@ -74,10 +89,23 @@ def fresh(script: str):
     return json.loads(result.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("plan", [None, "mixed"], ids=["clean", "faulted"])
-def test_testbed_imports_at_setup_only_what_it_runs(plan):
-    seen = fresh(TESTBED.format(plan=plan))
+@pytest.mark.parametrize(
+    "plan, traced, deferred",
+    [
+        (None, False, []),
+        ("mixed", False, ["repro.faults.injector"]),
+        (None, True, ["repro._fields", "repro.obs.schema", "repro.obs.sinks"]),
+    ],
+    ids=["clean", "faulted", "traced"],
+)
+def test_testbed_imports_at_setup_only_what_it_runs(plan, traced, deferred):
+    # The script imports repro.faults.plan for named_plan itself, as the
+    # benchmark's config does; the testbed loads the injector only for a
+    # fault plan, and the trace schema and sinks only for a recording
+    # tracer, and then at set-up.
+    seen = fresh(TESTBED.format(plan=plan, traced=traced))
     setup = set(seen["setup"])
+    assert sorted(setup.intersection(DEFERRED)) == deferred
     loaded = sorted(
         name for name in setup
         if any(name == n or name.startswith(n + ".") for n in NOT_AT_SETUP)
@@ -88,6 +116,41 @@ def test_testbed_imports_at_setup_only_what_it_runs(plan):
     )
     assert loaded == []
     assert sorted(set(seen["run"]) - setup) == []
+
+
+#: What only supervision needs; a bottleneck run without a store loads none.
+SUPERVISION = (
+    "repro.parallel", "repro.supervise", "repro.obs.metrics", "traceback",
+)
+
+
+def test_storeless_bottleneck_loads_no_supervisor():
+    seen = fresh("""
+import json, sys
+
+from repro.experiments.bottleneck import (
+    BottleneckConfig, run_shared_bottleneck,
+)
+from repro.units import msecs
+
+before = set(sys.modules)
+result = run_shared_bottleneck(
+    BottleneckConfig(flows=2, warmup_ns=msecs(2), measure_ns=msecs(4))
+)
+print(json.dumps({
+    "loaded": sorted(sys.modules), "new": sorted(set(sys.modules) - before),
+    "windows": result.windows,
+}))
+""")
+    assert seen["windows"] > 1
+    loaded = [
+        name for name in seen["loaded"]
+        if any(name == n or name.startswith(n + ".") for n in SUPERVISION)
+    ]
+    assert loaded == []
+    assert [n for n in seen["new"] if n.startswith("repro.")] == [
+        "repro.obs", "repro.obs.tracer", "repro.sim.shard",
+    ]
 
 
 #: What only a process pool needs; a serial supervised run loads none.
@@ -105,10 +168,14 @@ from repro.parallel import run_campaign
 from repro.supervise import CheckpointStore
 from repro.units import msecs
 
-run_shared_bottleneck(
-    BottleneckConfig(flows=2, warmup_ns=msecs(2), measure_ns=msecs(4))
-)
-after_bottleneck = sorted(sys.modules)
+with tempfile.TemporaryDirectory() as directory:
+    store = CheckpointStore(directory)
+    run_shared_bottleneck(
+        BottleneckConfig(flows=2, warmup_ns=msecs(2), measure_ns=msecs(4)),
+        checkpoint=store,
+    )
+    after_bottleneck = sorted(sys.modules)
+    bottleneck_stored = store.stores
 config = replace(
     fig2_config(vm=True, nagle=True, seed=1),
     warmup_ns=msecs(2), measure_ns=msecs(4),
@@ -121,15 +188,18 @@ with tempfile.TemporaryDirectory() as directory:
     stored = store.stores
 print(json.dumps({
     "bottleneck": after_bottleneck, "campaign": sorted(sys.modules),
+    "bottleneck_stored": bottleneck_stored,
     "results": len(results), "stored": stored,
 }))
 """
 
 
 def test_serial_supervised_runs_load_no_pool():
-    # A shared-bottleneck run and a one-worker checkpointed campaign run
-    # every job in this process: the pool's modules stay unloaded.
+    # A checkpointed shared-bottleneck run and a one-worker checkpointed
+    # campaign run every job in this process: the pool's modules stay
+    # unloaded.
     seen = fresh(SERIAL)
+    assert seen["bottleneck_stored"] == 1
     assert (seen["results"], seen["stored"]) == (2, 2)
     for stage in ("bottleneck", "campaign"):
         loaded = [
